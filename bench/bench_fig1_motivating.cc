@@ -39,6 +39,62 @@ void BM_SeqStreamPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqStreamPlan)->Arg(2000)->Arg(10000)->Arg(50000)->Arg(200000);
 
+// The same plan morsel-parallel on 4 workers. Before timing, its rows and
+// every integer AccessStats counter are checked against the serial run:
+// partitioning must not change the paper's simulated cost.
+void BM_SeqStreamPlan_4Workers(benchmark::State& state) {
+  Position span = state.range(0);
+  Engine engine;
+  bench::RegisterWeatherCatalog(&engine, span, /*dq=*/0.02, /*dv=*/0.004,
+                                /*seed=*/7);
+  Query query;
+  query.graph = bench::VolcanoQuery();
+  query.range = Span::Of(1, span);
+  RunOptions serial;
+  serial.exec.parallelism = 1;
+  AccessStats serial_stats;
+  serial.stats = &serial_stats;
+  auto want = engine.Run(query, serial);
+  SEQ_CHECK(want.ok());
+
+  RunOptions opts;
+  opts.exec.parallelism = 4;
+  AccessStats stats;
+  opts.stats = &stats;
+  auto got = engine.Run(query, opts);
+  SEQ_CHECK(got.ok());
+  SEQ_CHECK(got->records.size() == want->records.size());
+  for (size_t i = 0; i < want->records.size(); ++i) {
+    SEQ_CHECK(got->records[i].pos == want->records[i].pos);
+    SEQ_CHECK(got->records[i].rec == want->records[i].rec);
+  }
+  SEQ_CHECK(stats.stream_records == serial_stats.stream_records);
+  SEQ_CHECK(stats.stream_pages == serial_stats.stream_pages);
+  SEQ_CHECK(stats.probes == serial_stats.probes);
+  SEQ_CHECK(stats.probe_pages == serial_stats.probe_pages);
+  SEQ_CHECK(stats.cache_stores == serial_stats.cache_stores);
+  SEQ_CHECK(stats.cache_hits == serial_stats.cache_hits);
+  SEQ_CHECK(stats.predicate_evals == serial_stats.predicate_evals);
+  SEQ_CHECK(stats.records_output == serial_stats.records_output);
+
+  size_t answers = 0;
+  for (auto _ : state) {
+    stats.Reset();
+    auto result = engine.Run(query, opts);
+    SEQ_CHECK(result.ok());
+    answers = result->records.size();
+    benchmark::DoNotOptimize(answers);
+  }
+  state.counters["records_read"] =
+      static_cast<double>(stats.stream_records);
+  state.counters["answers"] = static_cast<double>(answers);
+}
+BENCHMARK(BM_SeqStreamPlan_4Workers)
+    ->Arg(10000)
+    ->Arg(50000)
+    ->Arg(200000)
+    ->UseRealTime();
+
 void BM_RelationalBaseline(benchmark::State& state) {
   Position span = state.range(0);
   Engine engine;

@@ -4,8 +4,13 @@
 // merged AccessStats must be identical at every width (checked once before
 // timing), so the only thing that differs is wall time. The headline
 // number is the speedup of 4 workers over serial on the materialized path.
+// The paper's two join plans get the same treatment at 1/2/4 workers: a
+// lock-step compose of two dense series feeding a 20-wide average, and the
+// Fig. 1 query (volcanos composed with the previous earthquake).
 
 #include <cstdint>
+#include <functional>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "obs/query_registry.h"
@@ -21,6 +26,12 @@ void RegisterSeries(Engine* engine) {
   options.density = 0.9;
   options.seed = 81;
   SEQ_CHECK(engine->RegisterBase("s", *MakeIntSeries(options)).ok());
+  options.density = 1.0;
+  options.seed = 82;
+  SEQ_CHECK(engine->RegisterBase("s2", *MakeIntSeries(options)).ok());
+  // Event densities of the engine benchmark's Fig. 1 workload.
+  bench::RegisterWeatherCatalog(engine, kSpanEnd, /*dq=*/0.3, /*dv=*/0.1,
+                                /*seed=*/83);
 }
 
 /// The acceptance-criteria chain: scan -> select -> project -> window agg.
@@ -35,14 +46,32 @@ Query ChainQuery() {
   return q;
 }
 
+/// §3.3 Join-Strategy-B: the lock-step compose of two dense series feeding
+/// a trailing average.
+Query LockstepQuery() {
+  Query q;
+  q.graph = SeqRef("s")
+                .ComposeWith(SeqRef("s2"))
+                .Agg(AggFunc::kAvg, "value", /*window=*/20, "avg")
+                .Build();
+  q.range = Span::Of(1, kSpanEnd);
+  return q;
+}
+
+/// Fig. 1: volcanos whose previous earthquake was stronger than 7.
+Query Fig1Query() {
+  Query q;
+  q.graph = bench::VolcanoQuery();
+  q.range = Span::Of(1, kSpanEnd);
+  return q;
+}
+
 uint64_t FoldResult(const QueryResult& result) {
   uint64_t acc = 14695981039346656037ull;
   for (const PosRecord& pr : result.records) {
     acc = acc * 1099511628211ull + static_cast<uint64_t>(pr.pos);
     for (const Value& v : pr.rec) {
-      acc = acc * 1099511628211ull +
-            (v.type() == TypeId::kInt64 ? static_cast<uint64_t>(v.int64())
-                                        : 1u);
+      acc = acc * 1099511628211ull + std::hash<std::string>{}(v.ToString());
     }
   }
   return acc;
@@ -73,6 +102,10 @@ void CheckParity(Engine* engine, const Query& q) {
     SEQ_CHECK(FoldResult(*got) == want);
     SEQ_CHECK(par_stats.stream_records == serial_stats.stream_records);
     SEQ_CHECK(par_stats.stream_pages == serial_stats.stream_pages);
+    SEQ_CHECK(par_stats.probes == serial_stats.probes);
+    SEQ_CHECK(par_stats.probe_pages == serial_stats.probe_pages);
+    SEQ_CHECK(par_stats.cache_stores == serial_stats.cache_stores);
+    SEQ_CHECK(par_stats.cache_hits == serial_stats.cache_hits);
     SEQ_CHECK(par_stats.predicate_evals == serial_stats.predicate_evals);
     SEQ_CHECK(par_stats.agg_steps == serial_stats.agg_steps);
     SEQ_CHECK(par_stats.records_output == serial_stats.records_output);
@@ -85,7 +118,7 @@ void CheckParity(Engine* engine, const Query& q) {
   }
 }
 
-void RunChain(benchmark::State& state, int workers,
+void RunQuery(benchmark::State& state, const Query& q, int workers,
               bool telemetry = true) {
   // The registry kill switch turns off per-query registration and the
   // executor's live-progress publishing; comparing the TelemetryOff
@@ -94,7 +127,6 @@ void RunChain(benchmark::State& state, int workers,
   QueryRegistry::Global().set_enabled(telemetry);
   Engine engine;
   RegisterSeries(&engine);
-  const Query q = ChainQuery();
   CheckParity(&engine, q);
 
   auto prepared = engine.Prepare(q);
@@ -121,6 +153,10 @@ void RunChain(benchmark::State& state, int workers,
 // time is measured too so the worker threads' cycles are visible — without
 // MeasureProcessCPUTime the CPU column would count only the coordinating
 // thread, which mostly waits at the morsel barrier.
+void RunChain(benchmark::State& state, int workers, bool telemetry = true) {
+  RunQuery(state, ChainQuery(), workers, telemetry);
+}
+
 void BM_MorselChain_Serial(benchmark::State& state) { RunChain(state, 1); }
 BENCHMARK(BM_MorselChain_Serial)->MeasureProcessCPUTime()->UseRealTime();
 
@@ -142,6 +178,27 @@ void BM_MorselChain_4Workers_TelemetryOff(benchmark::State& state) {
   RunChain(state, 4, /*telemetry=*/false);
 }
 BENCHMARK(BM_MorselChain_4Workers_TelemetryOff)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+// The join plans at 1, 2 and 4 workers (the argument).
+void BM_MorselLockstepWindow(benchmark::State& state) {
+  RunQuery(state, LockstepQuery(), static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_MorselLockstepWindow)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+void BM_MorselFig1(benchmark::State& state) {
+  RunQuery(state, Fig1Query(), static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_MorselFig1)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

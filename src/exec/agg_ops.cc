@@ -17,18 +17,21 @@ constexpr const char* kCacheALabel = "WindowAgg(cache-A)";
 /// records it re-reads were charged by the morsel that owns them. Budgets
 /// still apply cooperatively: the cancel flag is forwarded so a tripped
 /// sibling morsel stops a long fold.
+/// A trailing window folds through WindowState::Slide, exactly as its
+/// drive loop does; a running aggregate through Add.
 Status FoldCarry(SeqOp* carry, ExecContext* ctx, WindowState* state,
-                 size_t col_index) {
-  ExecContext carry_ctx;
-  carry_ctx.catalog = ctx->catalog;
-  carry_ctx.params = ctx->params;
-  carry_ctx.guards.cancel = ctx->guards.cancel;
+                 size_t col_index, bool trailing) {
+  ExecContext carry_ctx = UnchargedContext(*ctx);
   SEQ_RETURN_IF_ERROR(carry->Open(&carry_ctx));
   int64_t seen = 0;
   while (true) {
     std::optional<PosRecord> r = carry->Next();
     if (!r.has_value()) break;
-    state->Add(r->pos, r->rec[col_index], nullptr);
+    if (trailing) {
+      state->Slide(r->pos, r->rec[col_index]);
+    } else {
+      state->Add(r->pos, r->rec[col_index], nullptr);
+    }
     if ((++seen & 0xFF) == 0) {
       SEQ_RETURN_IF_ERROR(carry_ctx.CheckGuards(0));
     }
@@ -46,6 +49,7 @@ Status WindowAggCachedOp::Open(ExecContext* ctx) {
   pending_.reset();
   child_done_ = false;
   state_ = WindowState(func_, col_type_);
+  state_.SetTrailingWindow(window_);
   cache_footprint_ = 0;
   input_.Reset();
   SEQ_RETURN_IF_ERROR(child_->Open(ctx));
@@ -53,9 +57,33 @@ Status WindowAggCachedOp::Open(ExecContext* ctx) {
     // The first SyncCacheBytes after this fold charges the carried
     // entries' footprint, so the cache-memory budget sees the same state
     // size at every output position as a serial run.
-    SEQ_RETURN_IF_ERROR(FoldCarry(carry_.get(), ctx, &state_, col_index_));
+    SEQ_RETURN_IF_ERROR(FoldCarry(carry_.get(), ctx, &state_, col_index_,
+                                  /*trailing=*/true));
   }
   return Status::OK();
+}
+
+void WindowAggCachedOp::DrainClip(size_t batch_capacity) {
+  finish_at_clip_end_ = false;
+  int64_t consumed = 0;
+  if (batch_capacity == 0) {
+    Fill();
+    while (pending_.has_value()) {
+      state_.Slide(pending_->pos, pending_->rec[col_index_]);
+      ++consumed;
+      pending_.reset();
+      Fill();
+    }
+  } else {
+    while (input_.Ready(child_.get(), batch_capacity)) {
+      state_.Slide(input_.pos(), input_.rec()[col_index_]);
+      ++consumed;
+      input_.Consume();
+    }
+  }
+  ctx_->ChargeCacheStores(consumed);
+  ctx_->ChargeAggSteps(consumed);
+  SyncCacheBytes();
 }
 
 void WindowAggCachedOp::Fill() {
@@ -81,16 +109,19 @@ std::optional<PosRecord> WindowAggCachedOp::Next() {
 }
 
 std::optional<PosRecord> WindowAggCachedOp::NextAtOrAfter(Position p) {
-  if (required_.IsEmpty()) return std::nullopt;
   if (p < next_pos_) p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(0);
+  if (required_.IsEmpty()) return std::nullopt;
   while (p <= required_.end) {
     if (ctx_->failed()) return std::nullopt;
     // Pull every input at positions <= p into the window cache.
     Fill();
     while (pending_.has_value() && pending_->pos <= p) {
       ctx_->ChargeCacheStore();
-      state_.Add(pending_->pos, pending_->rec[col_index_], ctx_);
+      ctx_->ChargeAggStep();
+      state_.Slide(pending_->pos, pending_->rec[col_index_]);
       pending_.reset();
       Fill();
     }
@@ -111,15 +142,17 @@ std::optional<PosRecord> WindowAggCachedOp::NextAtOrAfter(Position p) {
 
 size_t WindowAggCachedOp::NextBatch(RecordBatch* out) {
   out->Clear();
-  if (required_.IsEmpty()) return 0;
   Position p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(out->capacity());
+  if (required_.IsEmpty()) return 0;
   int64_t consumed = 0;
   while (!out->full() && p <= required_.end) {
     if (ctx_->failed()) break;
     bool have = input_.Ready(child_.get(), out->capacity());
     while (have && input_.pos() <= p) {
-      state_.Add(input_.pos(), input_.rec()[col_index_], nullptr);
+      state_.Slide(input_.pos(), input_.rec()[col_index_]);
       ++consumed;
       input_.Consume();
       have = input_.Ready(child_.get(), out->capacity());
@@ -159,9 +192,33 @@ Status RunningAggOp::Open(ExecContext* ctx) {
   input_.Reset();
   SEQ_RETURN_IF_ERROR(child_->Open(ctx));
   if (carry_ != nullptr) {
-    SEQ_RETURN_IF_ERROR(FoldCarry(carry_.get(), ctx, &state_, col_index_));
+    SEQ_RETURN_IF_ERROR(FoldCarry(carry_.get(), ctx, &state_, col_index_,
+                                  /*trailing=*/false));
   }
   return Status::OK();
+}
+
+void RunningAggOp::DrainClip(size_t batch_capacity) {
+  finish_at_clip_end_ = false;
+  if (batch_capacity == 0) {
+    while (true) {
+      if (!pending_.has_value() && !child_done_) {
+        pending_ = child_->Next();
+        if (!pending_.has_value()) child_done_ = true;
+      }
+      if (!pending_.has_value()) break;
+      state_.Add(pending_->pos, pending_->rec[col_index_], ctx_);
+      pending_.reset();
+    }
+    return;
+  }
+  int64_t consumed = 0;
+  while (input_.Ready(child_.get(), batch_capacity)) {
+    state_.Add(input_.pos(), input_.rec()[col_index_], nullptr);
+    ++consumed;
+    input_.Consume();
+  }
+  ctx_->ChargeAggSteps(consumed);
 }
 
 std::optional<PosRecord> RunningAggOp::Next() {
@@ -169,9 +226,11 @@ std::optional<PosRecord> RunningAggOp::Next() {
 }
 
 std::optional<PosRecord> RunningAggOp::NextAtOrAfter(Position p) {
-  if (required_.IsEmpty()) return std::nullopt;
   if (p < next_pos_) p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(0);
+  if (required_.IsEmpty()) return std::nullopt;
   while (p <= required_.end) {
     if (ctx_->failed()) return std::nullopt;
     if (!pending_.has_value() && !child_done_) {
@@ -199,9 +258,11 @@ std::optional<PosRecord> RunningAggOp::NextAtOrAfter(Position p) {
 
 size_t RunningAggOp::NextBatch(RecordBatch* out) {
   out->Clear();
-  if (required_.IsEmpty()) return 0;
   Position p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(out->capacity());
+  if (required_.IsEmpty()) return 0;
   int64_t consumed = 0;
   while (!out->full() && p <= required_.end) {
     if (ctx_->failed()) break;

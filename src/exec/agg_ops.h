@@ -42,6 +42,12 @@ class WindowAggCachedOp : public SeqOp {
   /// output position equals the serial run's.
   void set_carry(SeqOpPtr carry) { carry_ = std::move(carry); }
 
+  /// Marks a morsel clone whose clip ends before the serial run's range
+  /// does: once asked for a position past the clip, the operator first
+  /// consumes (and charges) every remaining input of its clipped child, as
+  /// the serial run does on its way to that position.
+  void set_finish_at_clip_end() { finish_at_clip_end_ = true; }
+
   /// Checkpoint state: the live window verbatim. A resumed chunk built
   /// without a carry subtree restores this instead of re-reading the
   /// window-sized prefix, making the resume bit-identical (not merely
@@ -60,6 +66,9 @@ class WindowAggCachedOp : public SeqOp {
   static constexpr uint8_t kCkptTag = 0xA1;
 
   void Fill();
+  // Consumes the rest of the clipped child; batch_capacity 0 means the
+  // operator is driven tuple-at-a-time.
+  void DrainClip(size_t batch_capacity);
   // Re-syncs the shared cache-byte counter with the window's current
   // footprint; false (with the degradation signal raised) when the
   // cache-memory budget is exceeded.
@@ -80,6 +89,7 @@ class WindowAggCachedOp : public SeqOp {
   bool child_done_ = false;
   Position next_pos_ = 0;
   BatchInput input_;
+  bool finish_at_clip_end_ = false;
 };
 
 /// Running (prefix) aggregate: agg over all inputs at positions <= i.
@@ -107,6 +117,12 @@ class RunningAggOp : public SeqOp {
   /// the running state at Open. See WindowAggCachedOp::set_carry.
   void set_carry(SeqOpPtr carry) { carry_ = std::move(carry); }
 
+  /// Marks a morsel clone whose clip ends before the serial run's range
+  /// does: once asked for a position past the clip, the operator first
+  /// consumes (and charges) every remaining input of its clipped child, as
+  /// the serial run does on its way to that position.
+  void set_finish_at_clip_end() { finish_at_clip_end_ = true; }
+
   /// Checkpoint state: the running accumulators verbatim (see
   /// WindowAggCachedOp::SaveState).
   void SaveState(OpStateWriter* w) const override {
@@ -122,6 +138,9 @@ class RunningAggOp : public SeqOp {
  private:
   static constexpr uint8_t kCkptTag = 0xA2;
 
+  // See WindowAggCachedOp::DrainClip.
+  void DrainClip(size_t batch_capacity);
+
   SeqOpPtr child_;
   SeqOpPtr carry_;
   AggFunc func_;
@@ -135,6 +154,7 @@ class RunningAggOp : public SeqOp {
   bool child_done_ = false;
   Position next_pos_ = 0;
   BatchInput input_;
+  bool finish_at_clip_end_ = false;
 };
 
 /// Whole-sequence aggregate (the paper's "agg_pos always true" case): one

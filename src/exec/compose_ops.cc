@@ -1,9 +1,14 @@
 #include "exec/compose_ops.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace seq {
 namespace {
+
+// First look-back window of a clipped lock-step merge; each retry widens
+// it fourfold.
+constexpr int64_t kFirstLookBack = 64;
 
 /// Assembles a join output record by moving the consumed input values —
 /// both sides are dead after the call, so no Value (and in particular no
@@ -35,6 +40,7 @@ Status ComposeLockstepOp::Open(ExecContext* ctx) {
   done_ = false;
   l_.reset();
   r_.reset();
+  start_pending_ = lo_ > kMinPosition;
   if (predicate_ != nullptr) {
     SEQ_ASSIGN_OR_RETURN(
         CompiledExpr compiled,
@@ -48,6 +54,15 @@ Status ComposeLockstepOp::Open(ExecContext* ctx) {
 std::optional<PosRecord> ComposeLockstepOp::Advance(
     const Position* at_or_after) {
   if (done_) return std::nullopt;
+  if (start_pending_) {
+    start_pending_ = false;
+    if (!StartAtClip()) {
+      done_ = true;
+      return std::nullopt;
+    }
+    // A tuple driver opens a clone with NextAtOrAfter(lo): served above.
+    if (at_or_after != nullptr && *at_or_after <= lo_) at_or_after = nullptr;
+  }
   // Refresh or re-seek the two pending records.
   if (at_or_after != nullptr) {
     if (!l_.has_value() || l_->pos < *at_or_after) {
@@ -92,8 +107,87 @@ std::optional<PosRecord> ComposeLockstepOp::Advance(
       r_ = right_->Next();
     }
   }
+  FinishAtClip(!l_.has_value(), !r_.has_value());
   done_ = true;
   return std::nullopt;
+}
+
+// The serial merge only ever advances the input that trails: after a match
+// both inputs step (Next), otherwise the trailing one seeks the leading
+// one's position (NextAtOrAfter). So which records it pulls just past `lo`
+// depends only on which input holds the last record before `lo`:
+//  * neither, or both at one position (a match): both step, as at the
+//    start of the serial run;
+//  * the left input: the right one already trails it, so the serial merge
+//    pulls the right input's first record at or after `lo`, then seeks the
+//    left input to it;
+//  * the right input: the mirror image.
+// A skipping input (value offset, window, constant) therefore returns
+// exactly the records the serial run pulls from it, and no others.
+bool ComposeLockstepOp::StartAtClip() {
+  Result<Lead> lead = LeadBefore(lo_);
+  if (!lead.ok()) {
+    ctx_->Raise(lead.status());
+    return false;
+  }
+  switch (*lead) {
+    case Lead::kEven:
+      l_ = left_->Next();
+      r_ = right_->Next();
+      break;
+    case Lead::kLeft:
+      r_ = right_->Next();
+      if (r_.has_value()) l_ = left_->NextAtOrAfter(r_->pos);
+      break;
+    case Lead::kRight:
+      l_ = left_->Next();
+      if (l_.has_value()) r_ = right_->NextAtOrAfter(l_->pos);
+      break;
+  }
+  if (l_.has_value() && r_.has_value()) return true;
+  // An input that ran out before the other was pulled at all is the only
+  // one out.
+  const bool left_pulled = *lead != Lead::kLeft || r_.has_value();
+  const bool right_pulled = *lead != Lead::kRight || l_.has_value();
+  FinishAtClip(left_pulled && !l_.has_value(),
+               right_pulled && !r_.has_value());
+  return false;
+}
+
+Result<ComposeLockstepOp::Lead> ComposeLockstepOp::LeadBefore(Position lo) {
+  Position floor = kMaxPosition;
+  for (const ClipSource* src : {&left_source_, &right_source_}) {
+    if (!src->span.IsEmpty()) floor = std::min(floor, src->span.start);
+  }
+  if (floor >= lo) return Lead::kEven;
+  int64_t back = kFirstLookBack;
+  while (true) {
+    const Position from = lo - back <= floor ? floor : lo - back;
+    const Span window = Span::Of(from, lo - 1);
+    SEQ_ASSIGN_OR_RETURN(std::optional<Position> l,
+                         LastPositionIn(left_source_, window, *ctx_));
+    SEQ_ASSIGN_OR_RETURN(std::optional<Position> r,
+                         LastPositionIn(right_source_, window, *ctx_));
+    // A record found in the window is later than anything outside it.
+    if (l.has_value() && r.has_value()) {
+      if (*l == *r) return Lead::kEven;
+      return *l > *r ? Lead::kLeft : Lead::kRight;
+    }
+    if (l.has_value()) return Lead::kLeft;
+    if (r.has_value()) return Lead::kRight;
+    if (from == floor) return Lead::kEven;
+    back = std::min<int64_t>(back * 4, lo - floor);
+  }
+}
+
+// A clone whose clip ends before the serial merge stops (the executor
+// clips the morsel holding the stop to run on to the end): when one input
+// runs out inside the clip, the serial merge's last pull of it returned a
+// record past hi_, so the serial merge goes on to seek the other input
+// past hi_ too, reading the rest of that input's clip on the way.
+void ComposeLockstepOp::FinishAtClip(bool left_out, bool right_out) {
+  if (hi_ == kMaxPosition || left_out == right_out || ctx_->failed()) return;
+  (left_out ? right_ : left_)->NextAtOrAfter(hi_ + 1);
 }
 
 // --- ComposeStreamProbeOp ---------------------------------------------------
@@ -130,9 +224,16 @@ std::optional<PosRecord> ComposeStreamProbeOp::TryJoin(PosRecord d) {
   return PosRecord{d.pos, std::move(combined)};
 }
 
+void ComposeStreamProbeOp::FinishAtClip() {
+  if (!pass_clip_end_ || ctx_->failed()) return;
+  pass_clip_end_ = false;
+  other_->PassClipEnd();
+}
+
 std::optional<PosRecord> ComposeStreamProbeOp::Next() {
   while (true) {
     std::optional<PosRecord> d = driver_->Next();
+    if (!d.has_value()) FinishAtClip();
     if (!d.has_value() || ctx_->failed()) return std::nullopt;
     std::optional<PosRecord> joined = TryJoin(std::move(*d));
     if (joined.has_value()) return joined;
@@ -146,6 +247,7 @@ std::optional<PosRecord> ComposeStreamProbeOp::NextAtOrAfter(Position p) {
     if (joined.has_value()) return joined;
     d = driver_->Next();
   }
+  if (!d.has_value()) FinishAtClip();
   return std::nullopt;
 }
 
@@ -162,6 +264,7 @@ size_t ComposeStreamProbeOp::NextBatch(RecordBatch* out) {
   // next driver batch, so 0 still means end of stream.
   while (true) {
     size_t n = driver_->NextBatch(driver_batch_.get());
+    if (n == 0) FinishAtClip();
     if (n == 0 || ctx_->failed()) return 0;
     positions_.resize(n);
     for (size_t i = 0; i < n; ++i) positions_[i] = driver_batch_->pos(i);

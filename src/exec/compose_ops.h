@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/clip_source.h"
 #include "exec/operator.h"
 #include "expr/compiled_expr.h"
 
@@ -55,8 +56,37 @@ class ComposeLockstepOp : public SeqOp {
     return left_->RestoreState(r) && right_->RestoreState(r);
   }
 
+  /// Morsel clone (docs/execution.md, "Lock-step boundaries"): both inputs
+  /// are clipped to [lo, hi]; kMinPosition / kMaxPosition mark an edge the
+  /// clone shares with the serial run, and a bounded `hi` lies before the
+  /// serial merge's stop. `left` and `right` are the serial inputs. The
+  /// merge starts in the state the serial merge is in when it crosses `lo`,
+  /// and at `hi` it makes the reads the serial merge makes on its way past
+  /// `hi` — no more, no fewer — so rows and every AccessStats counter
+  /// summed over the morsels equal the serial run's.
+  void set_boundary(Position lo, Position hi, ClipSource left,
+                    ClipSource right) {
+    lo_ = lo;
+    hi_ = hi;
+    left_source_ = std::move(left);
+    right_source_ = std::move(right);
+  }
+
  private:
+  // Which input holds the last record before the clip start (kEven:
+  // neither, or both at one position); it decides which input the serial
+  // merge advances first when it crosses `lo`.
+  enum class Lead { kEven, kLeft, kRight };
+
   std::optional<PosRecord> Advance(const Position* at_or_after);
+  // The first pulls of a clone clipped at lo_, as the serial merge makes
+  // them; false when the merge ends right there.
+  bool StartAtClip();
+  Result<Lead> LeadBefore(Position lo);
+  // The merge ran out of one input inside the clip; `left_out` /
+  // `right_out` say which. Advances the other input past hi_, as the
+  // serial merge does.
+  void FinishAtClip(bool left_out, bool right_out);
 
   SeqOpPtr left_;
   SeqOpPtr right_;
@@ -68,6 +98,12 @@ class ComposeLockstepOp : public SeqOp {
   std::optional<PosRecord> l_;
   std::optional<PosRecord> r_;
   bool done_ = false;
+
+  Position lo_ = kMinPosition;
+  Position hi_ = kMaxPosition;
+  ClipSource left_source_;
+  ClipSource right_source_;
+  bool start_pending_ = false;
 };
 
 /// Join-Strategy-A (§3.3): stream one input (the driver) and probe the
@@ -103,8 +139,18 @@ class ComposeStreamProbeOp : public SeqOp {
     return driver_->RestoreState(r) && other_->RestoreState(r);
   }
 
+  /// Morsel clone over a stateful probed input (a Cache-B value offset)
+  /// whose clip ends before the serial driver's last record (the executor
+  /// clips the morsel holding that record to run on to the end). When the
+  /// clipped driver runs out, the serial run's next probe lies past the
+  /// clip: the probed input is told so (SeqOp::PassClipEnd) and consumes
+  /// the rest of its clip.
+  void set_pass_clip_end() { pass_clip_end_ = true; }
+
  private:
   std::optional<PosRecord> TryJoin(PosRecord d);
+  // Called when the driver is exhausted; see set_pass_clip_end.
+  void FinishAtClip();
 
   SeqOpPtr driver_;
   SeqOpPtr other_;
@@ -119,6 +165,8 @@ class ComposeStreamProbeOp : public SeqOp {
   std::unique_ptr<RecordBatch> driver_batch_;
   std::unique_ptr<RecordBatch> probe_batch_;
   std::vector<Position> positions_;
+
+  bool pass_clip_end_ = false;
 };
 
 /// Probed-mode compose: probe one side (the cheaper rejector first), then

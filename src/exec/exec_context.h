@@ -298,6 +298,19 @@ inline bool LeafShouldStop(ExecContext* ctx) {
   return true;
 }
 
+/// Context for uncharged morsel-boundary work: carry-in folds and the
+/// look-back / look-ahead clones of docs/execution.md. It keeps `ctx`'s
+/// catalog, cost parameters and cancellation flag, but has no stats block,
+/// no fault injector and no other budget — the morsel that owns the
+/// replayed records charges them.
+inline ExecContext UnchargedContext(const ExecContext& ctx) {
+  ExecContext out;
+  out.catalog = ctx.catalog;
+  out.params = ctx.params;
+  out.guards.cancel = ctx.guards.cancel;
+  return out;
+}
+
 /// True when `status` is the cache-budget degradation signal raised by a
 /// Cache-A/Cache-B operator: the query is valid, only its cached plan does
 /// not fit the memory budget, so callers holding the logical query (Engine,

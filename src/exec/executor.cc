@@ -9,10 +9,12 @@
 #include <numeric>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
 #include "exec/agg_ops.h"
+#include "exec/clip_source.h"
 #include "obs/metrics.h"
 #include "exec/collapse_ops.h"
 #include "exec/compose_ops.h"
@@ -20,6 +22,7 @@
 #include "exec/profiled_ops.h"
 #include "exec/scan_ops.h"
 #include "exec/unary_ops.h"
+#include "exec/window_state.h"
 
 namespace seq {
 namespace {
@@ -99,6 +102,29 @@ class TelemetryReporter {
   const AccessStats* stats_;
   int64_t pages_seen_ = 0;
 };
+
+// A builder of uncharged clipped copies of `input` (defined with the morsel
+// machinery below).
+ClipSource ClipSourceOf(const Executor* exec, const PhysNodePtr& input);
+
+// The clip edges of a morsel clone relative to the node it was cut from:
+// kMinPosition / kMaxPosition where the clone runs on to the serial edge.
+// A clip wholly before the node's range leaves the clone's span empty but
+// still ends at the clip end: the serial run consumes the clipped input on
+// its way to the range.
+Span ClipEdges(const PhysNode& clone) {
+  const Span serial = clone.morsel_source->required;
+  return Span::Of(
+      clone.required.start > serial.start ? clone.required.start : kMinPosition,
+      clone.required.end < serial.end ? clone.required.end : kMaxPosition);
+}
+
+// True on a clone whose clip ends before the serial node's range does.
+bool EndsBeforeSerial(const PhysNode& clone) {
+  return clone.morsel_source != nullptr &&
+         !clone.morsel_source->required.IsEmpty() &&
+         ClipEdges(clone).end < kMaxPosition;
+}
 
 }  // namespace
 
@@ -205,8 +231,20 @@ Result<SeqOpPtr> Executor::BuildValueOffset(const PhysNode& node,
   if (node.offset_strategy == OffsetStrategy::kIncrementalCacheB) {
     // Streamed child in both modes: the incremental cache consumes the
     // input in order whether the consumer streams or probes monotonically.
-    return SeqOpPtr(
-        new ValueOffsetOp(std::move(child), node.offset, node.required));
+    auto* op = new ValueOffsetOp(std::move(child), node.offset, node.required);
+    if (node.morsel_source != nullptr) {
+      // The carry-in ends where the clipped input starts; a clone with no
+      // output position needs none.
+      const PhysNodePtr& input = node.morsel_source->children[0];
+      const Span clip = node.children[0]->required;
+      op->set_morsel(ClipSourceOf(this, input),
+                     !node.required.IsEmpty() &&
+                             clip.start > input->required.start
+                         ? clip.start
+                         : kMinPosition,
+                     EndsBeforeSerial(node));
+    }
+    return SeqOpPtr(op);
   }
   // Naive search over a probed child.
   return SeqOpPtr(new ValueOffsetNaiveOp(std::move(child), node.offset,
@@ -226,6 +264,7 @@ Result<SeqOpPtr> Executor::BuildWindowAgg(const PhysNode& node,
     SEQ_CHECK(node.children.size() == 2);
     SEQ_ASSIGN_OR_RETURN(carry, Build(node.children[1], nullptr));
   }
+  const bool finish_at_clip_end = EndsBeforeSerial(node);
   switch (node.window_kind) {
     case WindowKind::kTrailing:
       if (node.mode == AccessMode::kStream &&
@@ -234,6 +273,7 @@ Result<SeqOpPtr> Executor::BuildWindowAgg(const PhysNode& node,
             std::move(child), node.agg_func, binding.col_index,
             binding.col_type, node.window, node.required);
         if (carry != nullptr) op->set_carry(std::move(carry));
+        if (finish_at_clip_end) op->set_finish_at_clip_end();
         return SeqOpPtr(op);
       }
       // Naive window probing, streamed or probed (probed child).
@@ -251,6 +291,7 @@ Result<SeqOpPtr> Executor::BuildWindowAgg(const PhysNode& node,
                                     binding.col_index, binding.col_type,
                                     node.required);
         if (carry != nullptr) op->set_carry(std::move(carry));
+        if (finish_at_clip_end) op->set_finish_at_clip_end();
         return SeqOpPtr(op);
       }
     case WindowKind::kAll:
@@ -279,22 +320,36 @@ Result<SeqOpPtr> Executor::BuildCompose(const PhysNode& node,
     case JoinStrategy::kStreamBoth: {
       SEQ_ASSIGN_OR_RETURN(SeqOpPtr left, Build(node.children[0], prof));
       SEQ_ASSIGN_OR_RETURN(SeqOpPtr right, Build(node.children[1], prof));
-      return SeqOpPtr(new ComposeLockstepOp(std::move(left), std::move(right),
-                                            node.predicate, node.out_schema));
+      auto* op = new ComposeLockstepOp(std::move(left), std::move(right),
+                                       node.predicate, node.out_schema);
+      // A clip outside the compose's range leaves nothing to merge.
+      if (node.morsel_source != nullptr && !node.required.IsEmpty()) {
+        const Span edges = ClipEdges(node);
+        const PhysNode& serial = *node.morsel_source;
+        op->set_boundary(edges.start, edges.end,
+                         ClipSourceOf(this, serial.children[0]),
+                         ClipSourceOf(this, serial.children[1]));
+      }
+      return SeqOpPtr(op);
     }
-    case JoinStrategy::kStreamLeftProbeRight: {
-      SEQ_ASSIGN_OR_RETURN(SeqOpPtr driver, Build(node.children[0], prof));
-      SEQ_ASSIGN_OR_RETURN(SeqOpPtr other, Build(node.children[1], prof));
-      return SeqOpPtr(new ComposeStreamProbeOp(
-          std::move(driver), std::move(other), /*driver_is_left=*/true,
-          node.predicate, node.out_schema));
-    }
+    case JoinStrategy::kStreamLeftProbeRight:
     case JoinStrategy::kStreamRightProbeLeft: {
-      SEQ_ASSIGN_OR_RETURN(SeqOpPtr other, Build(node.children[0], prof));
-      SEQ_ASSIGN_OR_RETURN(SeqOpPtr driver, Build(node.children[1], prof));
-      return SeqOpPtr(new ComposeStreamProbeOp(
-          std::move(driver), std::move(other), /*driver_is_left=*/false,
-          node.predicate, node.out_schema));
+      const bool left_drives =
+          node.join_strategy == JoinStrategy::kStreamLeftProbeRight;
+      SEQ_ASSIGN_OR_RETURN(SeqOpPtr left, Build(node.children[0], prof));
+      SEQ_ASSIGN_OR_RETURN(SeqOpPtr right, Build(node.children[1], prof));
+      auto* op = left_drives
+                     ? new ComposeStreamProbeOp(std::move(left),
+                                                std::move(right), true,
+                                                node.predicate, node.out_schema)
+                     : new ComposeStreamProbeOp(std::move(right),
+                                                std::move(left), false,
+                                                node.predicate,
+                                                node.out_schema);
+      // Even a clip before the compose's range ends in a pass: its probed
+      // input's clip may start earlier.
+      if (EndsBeforeSerial(node)) op->set_pass_clip_end();
+      return SeqOpPtr(op);
     }
     case JoinStrategy::kProbeBoth:
       return Status::Internal("probe-both compose in a stream plan");
@@ -384,9 +439,19 @@ SpineInfo SpineFail(std::string reason) {
   return s;
 }
 
-// Operator kinds a carry-in clone may be built over: cheap, stateless,
-// re-streamable shapes. Anything with its own sequential state (nested
-// aggregates, offsets, composes) would need carry-in of its own.
+// A previous-record Cache-B value offset: clipped like the spine, with an
+// |l|-record carry-in (docs/execution.md, "Value-offset carry-in").
+bool IsCarriedValueOffset(const PhysNode& node) {
+  return node.op == OpKind::kValueOffset &&
+         node.offset_strategy == OffsetStrategy::kIncrementalCacheB &&
+         node.offset < 0;
+}
+
+// Operator kinds a carry-in clone may be built over: re-streamable shapes
+// whose clones rebuild their own state at the clip start — stateless
+// operators, previous-record value offsets (|l|-record carry-in) and
+// lock-step composes of such inputs. Aggregates would need carry-ins of
+// their own inside every carry.
 bool CarrySupported(const PhysNodePtr& node) {
   switch (node->op) {
     case OpKind::kBaseRef:
@@ -396,6 +461,13 @@ bool CarrySupported(const PhysNodePtr& node) {
     case OpKind::kProject:
     case OpKind::kPositionalOffset:
       return CarrySupported(node->children[0]);
+    case OpKind::kValueOffset:
+      return IsCarriedValueOffset(*node) && CarrySupported(node->children[0]);
+    case OpKind::kCompose:
+      return node->mode == AccessMode::kStream &&
+             node->join_strategy == JoinStrategy::kStreamBoth &&
+             CarrySupported(node->children[0]) &&
+             CarrySupported(node->children[1]);
     default:
       return false;
   }
@@ -445,29 +517,127 @@ bool ProbedSafe(const PhysNodePtr& node, std::string* why) {
   return false;
 }
 
+// True for a Cache-A window whose double accumulator re-sums per period
+// (WindowState::Resums): its carry-in reaches back to the period start.
+bool ResumingWindow(const PhysNode& node) {
+  Result<AggBinding> binding = BindAggColumn(node);
+  return binding.ok() && WindowState::Resums(node.agg_func, binding->col_type);
+}
+
+// It is the one stateful operator a morsel clone may probe, reached from
+// the probing compose through 1:1 probe forwarders only, so it sees every
+// probe the serial run makes in its clip.
+bool HasCarriedValueOffset(const PhysNodePtr& node) {
+  if (IsCarriedValueOffset(*node)) return true;
+  switch (node->op) {
+    case OpKind::kSelect:
+    case OpKind::kProject:
+    case OpKind::kPositionalOffset:
+      return HasCarriedValueOffset(node->children[0]);
+    default:
+      return false;
+  }
+}
+
+// How an operator's consumer pulls its stream. Stepping consumers (the
+// driver, aggregates, value offsets, collapse) read every record up to the
+// end of their input; a lock-step compose seeks its inputs with
+// NextAtOrAfter, and so does an expand re-reading buckets.
+enum class Pull { kStep, kLockstep, kExpand };
+
+SpineInfo AnalyzeSpine(const PhysNodePtr& node, Pull pull = Pull::kStep);
+
+// Two inputs of one compose: both must partition, and a morsel start must
+// satisfy both inputs' alignment classes.
+SpineInfo CombineSpines(SpineInfo a, const SpineInfo& b) {
+  if (!a.ok) return a;
+  if (!b.ok) return b;
+  a.carry_cost += b.carry_cost;
+  if (a.modulus == 1) {
+    a.modulus = b.modulus;
+    a.phase = b.phase;
+  } else if (b.modulus != 1 &&
+             (a.modulus != b.modulus || a.phase != b.phase)) {
+    return SpineFail("compose inputs need different morsel alignments");
+  }
+  return a;
+}
+
+// Estimated cost of re-reading `positions` positions of `node`'s input.
+double ReplayCost(const PhysNode& input, double positions) {
+  const int64_t len = (!input.required.IsEmpty() && !input.required.IsUnbounded())
+                          ? input.required.Length()
+                          : 1;
+  return input.est_cost / static_cast<double>(len) * positions;
+}
+
+// A Cache-B value offset partitions when it looks back (previous-record
+// offsets) and its input partitions and can be re-streamed for the
+// |l|-record carry-in.
+SpineInfo AnalyzeCarriedValueOffset(const PhysNodePtr& node) {
+  if (node->offset > 0) {
+    return SpineFail("next-record value offset looks ahead past the morsel");
+  }
+  if (!CarrySupported(node->children[0])) {
+    return SpineFail("value-offset carry-in unsupported over " +
+                     node->children[0]->Label());
+  }
+  SpineInfo c = AnalyzeSpine(node->children[0]);
+  if (!c.ok) return c;
+  const PhysNode& in = *node->children[0];
+  const double density = std::max(in.est_density, 1e-3);
+  c.carry_cost += ReplayCost(
+      in, static_cast<double>(-node->offset) / density);
+  return c;
+}
+
+// The probed input of a stream-probe compose: stateless probers are shared
+// by every morsel untouched; a carried value offset (see
+// IsCarriedValueOffset) is clipped like the spine, so its input's
+// partition rules join the plan's.
+SpineInfo AnalyzeProbedSide(const PhysNodePtr& node) {
+  if (!HasCarriedValueOffset(node)) {
+    std::string why;
+    if (!ProbedSafe(node, &why)) return SpineFail(why);
+    return SpineInfo{};
+  }
+  if (IsCarriedValueOffset(*node)) return AnalyzeCarriedValueOffset(node);
+  SpineInfo c = AnalyzeProbedSide(node->children[0]);
+  if (c.ok && node->op == OpKind::kPositionalOffset) {
+    c.phase = Mod(c.phase - node->offset, c.modulus);
+  }
+  return c;
+}
+
 // Walks the stream-driven spine of the plan (the chain of operators whose
 // state advances with the output position; probed side-branches hang off
 // it) and decides whether contiguous output morsels can be evaluated by
-// independent clones. See docs/execution.md for the full rules.
-SpineInfo AnalyzeSpine(const PhysNodePtr& node) {
+// independent clones. `pull` is how the node's consumer pulls it. See
+// docs/execution.md for the full rules.
+SpineInfo AnalyzeSpine(const PhysNodePtr& node, Pull pull) {
   switch (node->op) {
     case OpKind::kBaseRef:
     case OpKind::kConstantRef:
       return SpineInfo{};
     case OpKind::kSelect:
     case OpKind::kProject:
-      return AnalyzeSpine(node->children[0]);
+      return AnalyzeSpine(node->children[0], pull);
     case OpKind::kPositionalOffset: {
       // out(p) = in(p + l): a morsel start b clips the child at b + l, so
       // the child's alignment class shifts by -l in output coordinates.
-      SpineInfo c = AnalyzeSpine(node->children[0]);
+      SpineInfo c = AnalyzeSpine(node->children[0], pull);
       if (!c.ok) return c;
       c.phase = Mod(c.phase - node->offset, c.modulus);
       return c;
     }
     case OpKind::kValueOffset: {
       if (node->offset_strategy == OffsetStrategy::kIncrementalCacheB) {
-        return SpineFail("stateful value-offset cache (Cache-B) is sequential");
+        // An expand never pulls it past its clip, so it would not consume
+        // the rest of its input there as the serial run does.
+        if (pull == Pull::kExpand) {
+          return SpineFail("Cache-B value offset under an expand");
+        }
+        return AnalyzeCarriedValueOffset(node);
       }
       std::string why;
       if (!ProbedSafe(node->children[0], &why)) return SpineFail(why);
@@ -486,23 +656,21 @@ SpineInfo AnalyzeSpine(const PhysNodePtr& node) {
             return SpineInfo{};
           }
           // Cache-A: sequential window state, rebuilt per morsel by an
-          // uncharged carry-in clone over the window-1 preceding
-          // positions.
+          // uncharged carry-in clone that starts one window before the
+          // re-sum period holding the window's first position.
           if (!CarrySupported(node->children[0])) {
             return SpineFail("window carry-in unsupported over " +
                              node->children[0]->Label());
           }
           SpineInfo c = AnalyzeSpine(node->children[0]);
           if (!c.ok) return c;
-          const PhysNode& ch = *node->children[0];
-          const int64_t len =
-              (!ch.required.IsEmpty() && !ch.required.IsUnbounded())
-                  ? ch.required.Length()
-                  : 1;
-          const double per_pos = ch.est_cost / static_cast<double>(len);
-          c.carry_cost +=
-              per_pos * static_cast<double>(std::max<int64_t>(
-                            node->window - 1, 0));
+          const int64_t w = std::max<int64_t>(node->window, 1);
+          const double period =
+              ResumingWindow(*node)
+                  ? static_cast<double>(int64_t{1} << WindowState::ResumShift(w))
+                  : 0.0;
+          c.carry_cost += ReplayCost(
+              *node->children[0], static_cast<double>(w - 1) + period / 2);
           return c;
         }
         case WindowKind::kRunning: {
@@ -522,16 +690,25 @@ SpineInfo AnalyzeSpine(const PhysNodePtr& node) {
     case OpKind::kCompose:
       switch (node->join_strategy) {
         case JoinStrategy::kStreamBoth:
-          return SpineFail("lock-step compose does not partition");
-        case JoinStrategy::kStreamLeftProbeRight: {
-          std::string why;
-          if (!ProbedSafe(node->children[1], &why)) return SpineFail(why);
-          return AnalyzeSpine(node->children[0]);
-        }
+          // The clone rebuilds the merge state at its clip start from how
+          // a stepping consumer pulls it; a seeking consumer would pull it
+          // differently there.
+          if (pull != Pull::kStep) {
+            return SpineFail("lock-step compose under a seeking consumer");
+          }
+          return CombineSpines(AnalyzeSpine(node->children[0], Pull::kLockstep),
+                               AnalyzeSpine(node->children[1], Pull::kLockstep));
+        case JoinStrategy::kStreamLeftProbeRight:
         case JoinStrategy::kStreamRightProbeLeft: {
-          std::string why;
-          if (!ProbedSafe(node->children[0], &why)) return SpineFail(why);
-          return AnalyzeSpine(node->children[1]);
+          const bool left_drives =
+              node->join_strategy == JoinStrategy::kStreamLeftProbeRight;
+          const PhysNodePtr& probed = node->children[left_drives ? 1 : 0];
+          if (pull == Pull::kExpand && HasCarriedValueOffset(probed)) {
+            return SpineFail("Cache-B value offset probed under an expand");
+          }
+          return CombineSpines(
+              AnalyzeSpine(node->children[left_drives ? 0 : 1], pull),
+              AnalyzeProbedSide(probed));
         }
         case JoinStrategy::kProbeBoth:
           return SpineFail("probe-both compose in a stream plan");
@@ -560,9 +737,14 @@ SpineInfo AnalyzeSpine(const PhysNodePtr& node) {
       return c;
     }
     case OpKind::kExpand: {
+      // A lock-step merge past the clip end would have to make the expand
+      // re-read its input there.
+      if (pull == Pull::kLockstep) {
+        return SpineFail("expand under a lock-step compose");
+      }
       const int64_t f = node->offset;
       if (f <= 0) return SpineFail("non-positive expand factor");
-      SpineInfo c = AnalyzeSpine(node->children[0]);
+      SpineInfo c = AnalyzeSpine(node->children[0], Pull::kExpand);
       if (!c.ok) return c;
       // Morsel starts must land on bucket edges (multiples of f) AND map
       // to child positions in the child's class: b = f*(phase + k*mod).
@@ -577,20 +759,41 @@ SpineInfo AnalyzeSpine(const PhysNodePtr& node) {
   return SpineFail("unknown operator kind");
 }
 
+// Where, in a compose's own coordinates, the serial run stops pulling one
+// of its inputs for good: for a lock-step compose the last position of the
+// input that runs out first (the merge ends there), for a stream-probe
+// compose over a carried value offset the driver's last position (no probe
+// follows). kMinPosition when that input is empty. See docs/execution.md,
+// "Where a join stops".
+using EarlyStops = std::unordered_map<const PhysNode*, Position>;
+
+// How CloneForMorsel clones a subtree.
+//  * `with_carry = false` suppresses the aggregate carry-in subtrees:
+//    checkpointed serial chunks restore aggregate state from the saved
+//    operator-state blob instead of replaying the lead-in, so a carry clone
+//    would both waste the replay and double-apply the prefix.
+//  * `stops` places each compose's early stop. Carries and look-back
+//    copies go without: only their rows matter, not what they read.
+struct CloneMode {
+  bool with_carry = true;
+  const EarlyStops* stops = nullptr;
+};
+
+constexpr CloneMode kUnchargedClone{true, nullptr};
+
+PhysNodePtr CloneProbedSide(const PhysNodePtr& node, Position lo, Position hi,
+                            const CloneMode& mode);
+
 // Clips the subtree to the morsel clip [lo, hi] given in the node's OUTPUT
 // coordinates (sentinel bounds mean "unclipped on this side"), rewriting
 // child clips through each operator's coordinate mapping. Base scans are
 // marked to resume page accounting (the page holding the record just
-// before the clip counts as already fetched), and sequential aggregates on
-// a clipped morsel get an uncharged carry-in subtree as children[1]. Only
-// reached for shapes AnalyzeSpine approved.
-//
-// `with_carry = false` suppresses the carry-in subtrees: checkpointed
-// serial chunks restore aggregate state from the saved operator-state
-// blob instead of replaying the lead-in, so a carry clone would both
-// waste the replay and double-apply the prefix.
+// before the clip counts as already fetched), sequential aggregates on a
+// clipped morsel get an uncharged carry-in subtree as children[1], and
+// operators that settle their clip edges at run time get `morsel_source`.
+// Only reached for shapes AnalyzeSpine approved.
 PhysNodePtr CloneForMorsel(const PhysNodePtr& node, Position lo, Position hi,
-                           bool with_carry = true) {
+                           const CloneMode& mode = CloneMode{}) {
   auto clone = std::make_shared<PhysNode>(*node);
   clone->required = node->required.Intersect(Span::Of(lo, hi));
   switch (node->op) {
@@ -602,17 +805,24 @@ PhysNodePtr CloneForMorsel(const PhysNodePtr& node, Position lo, Position hi,
     case OpKind::kSelect:
     case OpKind::kProject:
       clone->children[0] =
-          CloneForMorsel(node->children[0], lo, hi, with_carry);
+          CloneForMorsel(node->children[0], lo, hi, mode);
       break;
     case OpKind::kPositionalOffset: {
       // out(p) = in(p + l).
       const Position clo = lo <= kMinPosition ? kMinPosition : lo + node->offset;
       const Position chi = hi >= kMaxPosition ? kMaxPosition : hi + node->offset;
       clone->children[0] =
-          CloneForMorsel(node->children[0], clo, chi, with_carry);
+          CloneForMorsel(node->children[0], clo, chi, mode);
       break;
     }
     case OpKind::kValueOffset:
+      if (IsCarriedValueOffset(*node)) {
+        // out(p) reads inputs before p: the clip carries over unchanged,
+        // and the |l| inputs before it come from a run-time look-back.
+        clone->children[0] =
+            CloneForMorsel(node->children[0], lo, hi, mode);
+        clone->morsel_source = node;
+      }
       break;  // naive search: probed child, shared untouched
     case OpKind::kWindowAgg: {
       if (!(node->window_kind == WindowKind::kTrailing &&
@@ -622,37 +832,71 @@ PhysNodePtr CloneForMorsel(const PhysNodePtr& node, Position lo, Position hi,
         break;  // naive prober: probed child, shared untouched
       }
       clone->children[0] =
-          CloneForMorsel(node->children[0], lo, hi, with_carry);
-      if (lo > kMinPosition && with_carry) {
+          CloneForMorsel(node->children[0], lo, hi, mode);
+      clone->morsel_source = node;
+      if (lo > kMinPosition && mode.with_carry) {
         Position carry_lo;
         if (node->window_kind == WindowKind::kTrailing) {
           if (node->window <= 1) break;  // window of 1: no prior state
-          carry_lo = lo - (node->window - 1);
+          // A double accumulator at lo is a function of the inputs since
+          // the re-sum period holding lo's window start (WindowState::Slide).
+          const int64_t w = node->window;
+          carry_lo = lo - (w - 1);
+          if (ResumingWindow(*node)) {
+            carry_lo = WindowState::ResumPeriodStart(carry_lo, w) - (w - 1);
+          }
         } else {
           carry_lo = kMinPosition;  // running: the whole prefix
         }
         clone->morsel_carry = true;
         clone->children.push_back(
-            CloneForMorsel(node->children[0], carry_lo, lo - 1));
+            CloneForMorsel(node->children[0], carry_lo, lo - 1, kUnchargedClone));
       }
       break;
     }
-    case OpKind::kCompose:
-      if (node->join_strategy == JoinStrategy::kStreamLeftProbeRight) {
-        clone->children[0] =
-            CloneForMorsel(node->children[0], lo, hi, with_carry);
-      } else {
-        clone->children[1] =
-            CloneForMorsel(node->children[1], lo, hi, with_carry);
+    case OpKind::kCompose: {
+      // Inputs the serial run stops pulling early are clipped to run on
+      // past the morsel holding the stop, and are dead after it.
+      Position stop_hi = hi;
+      if (mode.stops != nullptr && lo <= hi) {  // an empty clip stays empty
+        auto it = mode.stops->find(node.get());
+        if (it != mode.stops->end() && hi >= it->second) {
+          stop_hi = lo <= it->second ? kMaxPosition : lo - 1;
+        }
+      }
+      switch (node->join_strategy) {
+        case JoinStrategy::kStreamBoth:
+          clone->required = node->required.Intersect(Span::Of(lo, stop_hi));
+          for (PhysNodePtr& child : clone->children) {
+            child = CloneForMorsel(child, lo, stop_hi, mode);
+          }
+          clone->morsel_source = node;
+          break;
+        case JoinStrategy::kStreamLeftProbeRight:
+        case JoinStrategy::kStreamRightProbeLeft: {
+          const size_t d =
+              node->join_strategy == JoinStrategy::kStreamLeftProbeRight ? 0
+                                                                        : 1;
+          clone->children[d] = CloneForMorsel(node->children[d], lo, hi, mode);
+          clone->children[1 - d] =
+              CloneProbedSide(node->children[1 - d], lo, stop_hi, mode);
+          if (clone->children[1 - d] != node->children[1 - d]) {
+            clone->morsel_source = node;
+          }
+          break;
+        }
+        case JoinStrategy::kProbeBoth:
+          break;
       }
       break;
+    }
     case OpKind::kCollapse: {
       // Output bucket b covers child [b*f, (b+1)*f - 1].
       const int64_t f = node->offset;
       const Position clo = lo <= kMinPosition ? kMinPosition : lo * f;
       const Position chi = hi >= kMaxPosition ? kMaxPosition : hi * f + (f - 1);
       clone->children[0] =
-          CloneForMorsel(node->children[0], clo, chi, with_carry);
+          CloneForMorsel(node->children[0], clo, chi, mode);
       break;
     }
     case OpKind::kExpand: {
@@ -661,11 +905,79 @@ PhysNodePtr CloneForMorsel(const PhysNodePtr& node, Position lo, Position hi,
       const Position clo = lo <= kMinPosition ? kMinPosition : FloorDiv(lo, f);
       const Position chi = hi >= kMaxPosition ? kMaxPosition : FloorDiv(hi, f);
       clone->children[0] =
-          CloneForMorsel(node->children[0], clo, chi, with_carry);
+          CloneForMorsel(node->children[0], clo, chi, mode);
       break;
     }
   }
   return clone;
+}
+
+// The probed input of a stream-probe compose clone: shared untouched
+// unless it holds a carried value offset, whose path is clipped like the
+// spine (the probes of one morsel lie inside its clip).
+PhysNodePtr CloneProbedSide(const PhysNodePtr& node, Position lo, Position hi,
+                            const CloneMode& mode) {
+  if (!HasCarriedValueOffset(node)) return node;
+  if (IsCarriedValueOffset(*node)) return CloneForMorsel(node, lo, hi, mode);
+  auto clone = std::make_shared<PhysNode>(*node);
+  clone->required = node->required.Intersect(Span::Of(lo, hi));
+  Position clo = lo;
+  Position chi = hi;
+  if (node->op == OpKind::kPositionalOffset) {
+    if (lo > kMinPosition) clo = lo + node->offset;
+    if (hi < kMaxPosition) chi = hi + node->offset;
+  }
+  clone->children[0] =
+      CloneProbedSide(node->children[0], clo, chi, mode);
+  return clone;
+}
+
+ClipSource ClipSourceOf(const Executor* exec, const PhysNodePtr& input) {
+  return ClipSource{input->required, [exec, input](Span clip) {
+                      return exec->Build(
+                          CloneForMorsel(input, clip.start, clip.end,
+                                         kUnchargedClone),
+                          nullptr);
+                    }};
+}
+
+// Last record position of `input` over its serial span, found by an
+// uncharged look-back from the span end; kMinPosition when it is empty.
+Result<Position> LastPosition(const Executor* exec, const PhysNodePtr& input,
+                              const ExecContext& ctx) {
+  const Span span = input->required;
+  if (span.IsEmpty()) return kMinPosition;
+  if (span.end >= kMaxPosition) return kMaxPosition;
+  SEQ_ASSIGN_OR_RETURN(
+      std::vector<PosRecord> last,
+      RecordsBefore(ClipSourceOf(exec, input), span.end + 1, 1, ctx));
+  return last.empty() ? kMinPosition : last.back().pos;
+}
+
+// Fills `stops` for every compose of the plan whose serial run stops
+// pulling an input early (see EarlyStops).
+Status FindEarlyStops(const Executor* exec, const PhysNodePtr& node,
+                      const ExecContext& ctx, EarlyStops* stops) {
+  if (node->op == OpKind::kCompose && node->mode == AccessMode::kStream) {
+    if (node->join_strategy == JoinStrategy::kStreamBoth) {
+      SEQ_ASSIGN_OR_RETURN(Position left,
+                           LastPosition(exec, node->children[0], ctx));
+      SEQ_ASSIGN_OR_RETURN(Position right,
+                           LastPosition(exec, node->children[1], ctx));
+      (*stops)[node.get()] = std::min(left, right);
+    } else if (node->join_strategy != JoinStrategy::kProbeBoth) {
+      const size_t d =
+          node->join_strategy == JoinStrategy::kStreamLeftProbeRight ? 0 : 1;
+      if (HasCarriedValueOffset(node->children[1 - d])) {
+        SEQ_ASSIGN_OR_RETURN((*stops)[node.get()],
+                             LastPosition(exec, node->children[d], ctx));
+      }
+    }
+  }
+  for (const PhysNodePtr& child : node->children) {
+    SEQ_RETURN_IF_ERROR(FindEarlyStops(exec, child, ctx, stops));
+  }
+  return Status::OK();
 }
 
 // Adds a per-morsel profile tree's measured counters into the skeleton
@@ -856,6 +1168,14 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
   return mp;
 }
 
+ExecContext Executor::EdgeContext() const {
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.params = params_;
+  ctx.guards.cancel = options_.guards.cancel;
+  return ctx;
+}
+
 Result<QueryResult> Executor::ExecuteParallel(const PhysicalPlan& plan,
                                               const MorselPlan& mp,
                                               AccessStats* stats,
@@ -954,13 +1274,17 @@ Result<QueryResult> Executor::ExecuteParallelInner(
     // re-read the lead-in or run into the tail.
     const Position outer_lo = extras != nullptr ? extras->clip_lo : kMinPosition;
     const Position outer_hi = extras != nullptr ? extras->clip_hi : kMaxPosition;
+    CloneMode mode;
+    EarlyStops stops;
+    SEQ_RETURN_IF_ERROR(FindEarlyStops(this, plan.root, EdgeContext(), &stops));
+    mode.stops = &stops;
     for (size_t i = 0; i < mp.morsels.size(); ++i) {
       Unit u;
       u.emit = mp.morsels[i];
       const Position lo = i == 0 ? outer_lo : mp.morsels[i].start;
       const Position hi =
           i + 1 == mp.morsels.size() ? outer_hi : mp.morsels[i].end;
-      u.node = CloneForMorsel(plan.root, lo, hi);
+      u.node = CloneForMorsel(plan.root, lo, hi, mode);
       units.push_back(std::move(u));
     }
   }
@@ -1673,6 +1997,11 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
     if (!spine.ok) return fallback(spine.reason);
   }
 
+  EarlyStops stops;
+  if (!probed) {
+    SEQ_RETURN_IF_ERROR(FindEarlyStops(this, plan.root, EdgeContext(), &stops));
+  }
+
   // The chunk grid. A resumed run MUST reuse the original run's grid
   // (stored chunk length, boundaries derived from the ORIGINAL span and
   // snapped into the plan's alignment class): simulated-cost charges
@@ -1829,7 +2158,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
       // the blob); an empty blob past chunk 0 — a checkpoint written by a
       // parallel run, or a stateless tree — rebuilds via carries instead.
       node = CloneForMorsel(plan.root, clip_lo, clip_hi,
-                            /*with_carry=*/!inject);
+                            CloneMode{/*with_carry=*/!inject, &stops});
     }
     SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(node, nullptr));
     SEQ_RETURN_IF_ERROR(root->Open(&ctx));

@@ -143,7 +143,7 @@ struct ExecOptions {
 struct MorselPlan {
   bool parallel = false;
   /// Human-readable decision record, e.g. "parallel: 4 workers x 4
-  /// morsels" or "serial: lock-step compose does not partition".
+  /// morsels" or "serial: overall aggregate is a blocking full pass".
   std::string reason;
   int workers = 1;
   /// Contiguous output sub-spans (stream roots) in position order, tiling
@@ -272,6 +272,11 @@ class Executor {
                                            AccessStats* stats,
                                            OperatorProfile* root_profile,
                                            const ChunkExtras* extras) const;
+
+  // Context for the uncharged reads that place morsel edges (look-backs
+  // for carry-ins and early stops): catalog, cost parameters and the
+  // caller's cancellation flag only.
+  ExecContext EdgeContext() const;
 
   const Catalog& catalog_;
   CostParams params_;

@@ -20,7 +20,56 @@ Status ValueOffsetOp::Open(ExecContext* ctx) {
   cache_footprint_ = 0;
   input_.Reset();
   last_probe_pos_ = kMinPosition;
-  return child_->Open(ctx);
+  SEQ_RETURN_IF_ERROR(child_->Open(ctx));
+  return SeedCarry();
+}
+
+Status ValueOffsetOp::SeedCarry() {
+  if (!carry_source_.has_value()) return Status::OK();
+  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
+  SEQ_ASSIGN_OR_RETURN(
+      std::vector<PosRecord> carried,
+      RecordsBefore(*carry_source_, carry_before_, magnitude, *ctx_));
+  // The carried records occupy cache memory exactly as in the serial run,
+  // but their cache stores were charged by the morsel that read them.
+  for (PosRecord& r : carried) {
+    cache_.push_back(std::move(r));
+    if (!ChargeCacheEntry()) return ctx_->TakeError();
+  }
+  return Status::OK();
+}
+
+void ValueOffsetOp::DrainClip(size_t batch_capacity) {
+  finish_at_clip_end_ = false;
+  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
+  int64_t stores = 0;
+  auto store = [&](Position pos, Record& rec) {
+    cache_.emplace_back();
+    cache_.back().pos = pos;
+    MoveRecordValues(cache_.back().rec, rec);
+    ++stores;
+    if (!ChargeCacheEntry()) return false;
+    if (cache_.size() > magnitude) ReleaseFrontEntry();
+    return true;
+  };
+  if (batch_capacity == 0) {
+    Fill();
+    while (pending_.has_value() && store(pending_->pos, pending_->rec)) {
+      pending_.reset();
+      Fill();
+    }
+  } else {
+    const Position limit = required_.end - 1;  // as NextBatch pulls
+    while (input_.Ready(child_.get(), batch_capacity, limit) &&
+           store(input_.pos(), input_.rec())) {
+      input_.Consume();
+    }
+  }
+  ctx_->ChargeCacheStores(stores);
+}
+
+void ValueOffsetOp::PassClipEnd() {
+  if (finish_at_clip_end_) DrainClip(0);
 }
 
 void ValueOffsetOp::Fill() {
@@ -59,9 +108,11 @@ std::optional<PosRecord> ValueOffsetOp::Next() {
 }
 
 std::optional<PosRecord> ValueOffsetOp::NextAtOrAfter(Position p) {
-  if (required_.IsEmpty()) return std::nullopt;
   if (p < next_pos_) p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(0);
+  if (required_.IsEmpty()) return std::nullopt;
   size_t magnitude = static_cast<size_t>(std::abs(offset_));
 
   if (offset_ < 0) {
@@ -85,6 +136,8 @@ std::optional<PosRecord> ValueOffsetOp::NextAtOrAfter(Position p) {
       if (!pending_.has_value()) return std::nullopt;
       p = pending_->pos + 1;
     }
+    // The jump left the clip with input still pending.
+    if (finish_at_clip_end_ && !ctx_->failed()) DrainClip(0);
     return std::nullopt;
   }
 
@@ -120,9 +173,11 @@ std::optional<PosRecord> ValueOffsetOp::NextAtOrAfter(Position p) {
 // therefore every AccessStats counter) is identical in both driving modes.
 size_t ValueOffsetOp::NextBatch(RecordBatch* out) {
   out->Clear();
-  if (required_.IsEmpty()) return 0;
   Position p = next_pos_;
   if (p < required_.start) p = required_.start;
+  // Asked past the clip — an empty clip included.
+  if (p > required_.end && finish_at_clip_end_) DrainClip(out->capacity());
+  if (required_.IsEmpty()) return 0;
   const size_t magnitude = static_cast<size_t>(std::abs(offset_));
   const size_t cap = out->capacity();
   int64_t stores = 0;
@@ -155,6 +210,12 @@ size_t ValueOffsetOp::NextBatch(RecordBatch* out) {
       p = input_.pos() + 1;
     }
     next_pos_ = p;
+    // An empty batch ends the stream: a jump that left the clip with input
+    // still pending consumes it now.
+    if (out->empty() && p > required_.end && finish_at_clip_end_ &&
+        !ctx_->failed()) {
+      DrainClip(cap);
+    }
     ctx_->ChargeCacheStores(stores);
     ctx_->ChargeCacheHits(static_cast<int64_t>(out->size()));
     return out->size();
@@ -206,6 +267,8 @@ void ValueOffsetOp::RewindProbes() {
   child_done_ = false;
   ReleaseAllEntries();
   last_probe_pos_ = kMinPosition;
+  Status seeded = SeedCarry();
+  if (!seeded.ok()) ctx_->Raise(std::move(seeded));
 }
 
 const Record* ValueOffsetOp::ProbeStep(Position p, int64_t* stores) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <utility>
 
+#include "exec/clip_source.h"
 #include "exec/operator.h"
 
 namespace seq {
@@ -42,12 +43,37 @@ class ValueOffsetOp : public SeqOp {
   size_t ProbeBatch(std::span<const Position> positions,
                     RecordBatch* out) override;
   void Close() override { child_->Close(); }
+  void PassClipEnd() override;
   void SaveState(OpStateWriter* w) const override { child_->SaveState(w); }
   bool RestoreState(OpStateReader* r) override {
     return child_->RestoreState(r);
   }
 
+  /// Morsel clone of a previous-record offset (offset < 0; see
+  /// docs/execution.md, "Value-offset carry-in"). `input` is the serial
+  /// run's input. When the clipped input starts at `carry_before` (rather
+  /// than kMinPosition, the serial start), Open seeds the cache with the
+  /// |l| input records before it, read uncharged — the preceding morsel
+  /// charged them. With `finish_at_clip_end` the clip ends before the
+  /// serial range does: once asked past it (or told so by PassClipEnd) the
+  /// operator consumes, and charges, the rest of its clipped input, as the
+  /// serial run does on its way to the next position.
+  void set_morsel(ClipSource input, Position carry_before,
+                  bool finish_at_clip_end) {
+    SEQ_CHECK(offset_ < 0);
+    if (carry_before > kMinPosition) {
+      carry_source_ = std::move(input);
+      carry_before_ = carry_before;
+    }
+    finish_at_clip_end_ = finish_at_clip_end;
+  }
+
  private:
+  // Seeds the cache from carry_source_ (see set_morsel).
+  Status SeedCarry();
+  // Consumes the rest of the clipped child into the cache; batch_capacity
+  // 0 means the child is pulled tuple-at-a-time.
+  void DrainClip(size_t batch_capacity);
   // Pulls the child's next record into pending_ if empty.
   void Fill();
   // Advances the incremental state to probe position `p` and returns the
@@ -75,6 +101,9 @@ class ValueOffsetOp : public SeqOp {
   Position next_pos_ = 0;        // next output position to consider
   BatchInput input_;             // batched child pull (stream NextBatch)
   Position last_probe_pos_ = kMinPosition;
+  std::optional<ClipSource> carry_source_;
+  Position carry_before_ = kMinPosition;
+  bool finish_at_clip_end_ = false;
 };
 
 /// The naive algorithm for a value offset: from every output position,

@@ -122,6 +122,13 @@ class SeqOp {
 
   virtual void Close() {}
 
+  /// Morsel boundary of a probed input (docs/execution.md): the consumer
+  /// of this morsel clone will, in the serial run, next probe a position
+  /// past the clone's clip. Stateful probed operators (the Cache-B value
+  /// offset) consume and charge the rest of their clipped input, as that
+  /// serial probe would; 1:1 probe forwarders pass the call down.
+  virtual void PassClipEnd() {}
+
   /// Appends this subtree's live sequential state (window contents,
   /// running-aggregate carries) to the checkpoint blob, in tree order.
   /// Pass-through operators forward to their children; stateless leaves

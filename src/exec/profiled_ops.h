@@ -128,6 +128,11 @@ class ProfiledOp : public SeqOp {
     inner_->Close();
   }
 
+  void PassClipEnd() override {
+    ScopedOpTimer timer(prof_, stats_);
+    inner_->PassClipEnd();
+  }
+
   // Checkpoint traversal is transparent to profiling wrappers.
   void SaveState(OpStateWriter* w) const override { inner_->SaveState(w); }
   bool RestoreState(OpStateReader* r) override {

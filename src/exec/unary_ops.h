@@ -34,6 +34,7 @@ class SelectOp : public SeqOp {
   size_t ProbeBatch(std::span<const Position> positions,
                     RecordBatch* out) override;
   void Close() override { child_->Close(); }
+  void PassClipEnd() override { child_->PassClipEnd(); }
   void SaveState(OpStateWriter* w) const override { child_->SaveState(w); }
   bool RestoreState(OpStateReader* r) override {
     return child_->RestoreState(r);
@@ -82,6 +83,7 @@ class ProjectOp : public SeqOp {
   size_t ProbeBatch(std::span<const Position> positions,
                     RecordBatch* out) override;
   void Close() override { child_->Close(); }
+  void PassClipEnd() override { child_->PassClipEnd(); }
   void SaveState(OpStateWriter* w) const override { child_->SaveState(w); }
   bool RestoreState(OpStateReader* r) override {
     return child_->RestoreState(r);
@@ -144,6 +146,7 @@ class PosOffsetOp : public SeqOp {
     return n;
   }
   void Close() override { child_->Close(); }
+  void PassClipEnd() override { child_->PassClipEnd(); }
   void SaveState(OpStateWriter* w) const override { child_->SaveState(w); }
   bool RestoreState(OpStateReader* r) override {
     return child_->RestoreState(r);

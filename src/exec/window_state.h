@@ -56,17 +56,77 @@ class WindowState {
     }
   }
 
-  /// Removes every entry with position < `p`.
+  /// Removes every entry with position < `p`. An emptied window restarts
+  /// its accumulators from exact zero, so no rounding residue of evicted
+  /// doubles outlives them.
   void EvictBefore(Position p) {
-    while (!window_.empty() && window_.front().pos < p) {
-      const Entry& e = window_.front();
-      --count_;
-      sum_i_ -= e.i;
-      sum_d_ -= e.d;
-      window_.pop_front();
+    if (!window_.empty() && window_.front().pos < p) {
+      do {
+        const Entry& e = window_.front();
+        --count_;
+        sum_i_ -= e.i;
+        sum_d_ -= e.d;
+        window_.pop_front();
+      } while (!window_.empty() && window_.front().pos < p);
+      if (count_ == 0) {
+        sum_i_ = 0;
+        sum_d_ = 0.0;
+      }
     }
     while (!min_q_.empty() && min_q_.front().first < p) min_q_.pop_front();
     while (!max_q_.empty() && max_q_.front().first < p) max_q_.pop_front();
+  }
+
+  /// log2 of the re-sum period of a trailing window of `window` positions:
+  /// at least 1024 positions, and never shorter than the window, so a
+  /// re-sum costs at most one extra addition per input.
+  static int ResumShift(int64_t window) {
+    int shift = 10;
+    while (shift < 62 && (int64_t{1} << shift) < window) ++shift;
+    return shift;
+  }
+
+  /// First position of the re-sum period holding `pos`.
+  static Position ResumPeriodStart(Position pos, int64_t window) {
+    const int shift = ResumShift(window);
+    return (pos >> shift) << shift;
+  }
+
+  /// True when the aggregate keeps a double accumulator, whose low bits
+  /// depend on the order of its updates; the others are exact.
+  static bool Resums(AggFunc func, TypeId value_type) {
+    return (func == AggFunc::kSum || func == AggFunc::kAvg) &&
+           value_type != TypeId::kInt64;
+  }
+
+  /// Makes this the state of a trailing window of `window` positions,
+  /// updated through Slide.
+  void SetTrailingWindow(int64_t window) {
+    window_len_ = window;
+    shift_ = ResumShift(window);
+    resums_ = Resums(func_, value_type_);
+  }
+
+  /// Trailing-window update (Cache-A): adds the value at `pos`. A double
+  /// accumulator (Resums) first evicts what lies outside the window ending
+  /// at `pos`, and whenever `pos` starts a new re-sum period (ResumShift)
+  /// re-sums the live entries in position order. It is therefore a
+  /// function of the input positions and values since the last period
+  /// start alone — not of which output positions a consumer visited, and
+  /// not of how long ago the stream began — so a morsel's carry-in fold
+  /// that starts one window before the period start reproduces the serial
+  /// state bit for bit (docs/execution.md, "Bit-exact window carry").
+  void Slide(Position pos, const Value& v) {
+    if (resums_) {
+      EvictBefore(pos - window_len_ + 1);
+      const Position period = pos >> shift_;
+      if (!has_period_ || period != period_) {
+        Resum();
+        period_ = period;
+        has_period_ = true;
+      }
+    }
+    Add(pos, v, nullptr);
   }
 
   int64_t count() const { return count_; }
@@ -92,6 +152,8 @@ class WindowState {
     w->I64(count_);
     w->I64(sum_i_);
     w->F64(sum_d_);
+    w->U8(has_period_ ? 1 : 0);
+    w->I64(period_);
     w->I64(static_cast<int64_t>(window_.size()));
     for (const Entry& e : window_) {
       w->I64(e.pos);
@@ -121,10 +183,13 @@ class WindowState {
       return false;
     }
     int64_t n = 0;
+    uint8_t has_period = 0;
     if (!r->I64(&count_) || !r->I64(&sum_i_) || !r->F64(&sum_d_) ||
+        !r->U8(&has_period) || has_period > 1 || !r->I64(&period_) ||
         !r->I64(&n) || n < 0) {
       return false;
     }
+    has_period_ = has_period == 1;
     window_.clear();
     for (int64_t k = 0; k < n; ++k) {
       Entry e{0, 0, 0.0};
@@ -167,6 +232,16 @@ class WindowState {
   }
 
  private:
+  // Recomputes the accumulators from the live entries, in position order.
+  void Resum() {
+    sum_i_ = 0;
+    sum_d_ = 0.0;
+    for (const Entry& e : window_) {
+      sum_i_ += e.i;
+      sum_d_ += e.d;
+    }
+  }
+
   // One live entry. The numeric payload is converted once on Add so
   // eviction adjusts the accumulators without re-dispatching on the value
   // type (non-numeric values store zeros, which subtract as no-ops).
@@ -184,6 +259,12 @@ class WindowState {
   int64_t count_ = 0;
   double sum_d_ = 0.0;
   int64_t sum_i_ = 0;
+  // Trailing-window geometry and the re-sum period of the last Slide.
+  int64_t window_len_ = 1;
+  int shift_ = 10;
+  bool resums_ = false;
+  Position period_ = 0;
+  bool has_period_ = false;
 
   // Monotonic candidate queues for min (non-decreasing values) and max
   // (non-increasing values).

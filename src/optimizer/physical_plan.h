@@ -106,6 +106,12 @@ struct PhysNode {
   /// rebuild the aggregate state the serial run would have at the morsel
   /// boundary, charging nothing (earlier morsels charge those reads).
   bool morsel_carry = false;
+  /// The serial plan's node this clone was cut from, on clones whose
+  /// operator settles its clip edges at run time — reading records outside
+  /// the clip uncharged (lock-step composes, Cache-B value offsets) or
+  /// consuming the rest of its clipped input when the serial run would
+  /// move past the clip end (aggregates, value offsets). Null elsewhere.
+  PhysNodePtr morsel_source;
 
   /// One-line description of the node: operator, mode, strategy and
   /// parameters — shared by Explain and the runtime profile labels.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -250,6 +251,15 @@ TEST_F(BatchDifferentialTest, Aggregates) {
           std::nullopt, "sparse running min");
   RunBoth(engine_, SeqRef("s").OverallAgg(AggFunc::kSum, "value"),
           Span::Of(1, 4000), "overall sum");
+  // Double windows: the morsel carry-in must rebuild the serial window
+  // state bit for bit, not merely to within rounding.
+  RunBoth(engine_,
+          SeqRef("ibm")
+              .Select(Gt(Col("close"), Lit(1.0)))
+              .Agg(AggFunc::kAvg, "close", 20),
+          std::nullopt, "stock close avg");
+  RunBoth(engine_, SeqRef("ibm").Agg(AggFunc::kSum, "close", 7),
+          std::nullopt, "stock close sum");
 }
 
 TEST_F(BatchDifferentialTest, ComposeVariants) {
@@ -268,6 +278,48 @@ TEST_F(BatchDifferentialTest, ComposeVariants) {
   RunBoth(engine_,
           SeqRef("quakes").ComposeWith(SeqRef("volcanos")), std::nullopt,
           "event intersect");
+  RunBoth(engine_,
+          SeqRef("ibm").ComposeWith(SeqRef("s")).Agg(AggFunc::kAvg, "close",
+                                                     20),
+          std::nullopt, "lock-step compose into a window");
+  RunBoth(engine_,
+          SeqRef("sp").ComposeWith(SeqRef("s").Select(
+              Gt(Col("value"), Lit(int64_t{800})))),
+          std::nullopt, "sparse lock-step pair");
+}
+
+TEST_F(BatchDifferentialTest, JoinStopOnAMorselEdge) {
+  // A join stops pulling one input early: a lock-step merge ends with its
+  // shorter input, a stream-probe compose probes no more once its driver
+  // ends. The value offset or window on the other side has read one record
+  // ahead by then. `short_side` keeps only records of "u" before position
+  // 400 (whose values beat every later one), and the range makes the first
+  // 256-position morsel end on its last record, so that read-ahead lands
+  // in the next morsel.
+  auto u = engine_.Run(SeqRef("u"), std::nullopt);
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  int64_t tail_max = 0;
+  for (const PosRecord& r : u->records) {
+    if (r.pos > 400) tail_max = std::max(tail_max, r.rec[0].int64());
+  }
+  auto short_side = [&] {
+    return SeqRef("u").Select(Gt(Col("value"), Lit(tail_max)));
+  };
+  auto head = engine_.Run(short_side(), std::nullopt);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  ASSERT_FALSE(head->records.empty());
+  const Position last = head->records.back().pos;
+  ASSERT_LT(last, 400);
+  // A whole number of morsels, so they are exactly 256 positions long.
+  const Span range = Span::Of(last - 255, last + 256 * 10);
+  RunBoth(engine_, short_side().ComposeWith(SeqRef("quakes").Prev()), range,
+          "short driver, probed previous quake");
+  RunBoth(engine_, SeqRef("quakes").Prev().ComposeWith(short_side()), range,
+          "previous quake, short other input");
+  RunBoth(engine_,
+          SeqRef("ibm").Agg(AggFunc::kAvg, "close", 5).ComposeWith(
+              short_side()),
+          range, "window, short lock-step input");
 }
 
 TEST_F(BatchDifferentialTest, CollapseExpandAndChains) {
@@ -368,27 +420,43 @@ TEST_F(BatchDifferentialTest, EmptyAndEdgeResults) {
 }
 
 TEST_F(BatchDifferentialTest, MorselDrivingActuallyGoesParallel) {
-  // Guard against the sweep above silently degenerating: a partitionable
-  // plan with forced morsels must take the parallel path, and the decision
-  // must be visible in the profile notes.
-  Query query;
-  query.graph =
-      SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{100}))).Build();
-  RunOptions opts;
-  opts.exec.use_batch = true;
-  opts.exec.parallelism = 4;
-  opts.exec.morsel_size = 256;
-  opts.profile = true;
-  auto run = engine_.Run(query, opts);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  ASSERT_TRUE(run->profile.has_value());
-  bool saw_parallel = false;
-  for (const std::string& note : run->profile->notes) {
-    if (note.find("parallel:") != std::string::npos) saw_parallel = true;
+  // Guard against the sweep above silently degenerating: partitionable
+  // plans with forced morsels — a selection, the lock-step compose, the
+  // Fig. 1 query and a window over double closes — must take the parallel
+  // path, and the decision must be visible in the profile notes.
+  const std::vector<LogicalOpPtr> graphs = {
+      SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{100}))).Build(),
+      SeqRef("s").ComposeWith(SeqRef("sp")).Build(),
+      SeqRef("volcanos")
+          .ComposeWith(SeqRef("quakes").Prev())
+          .Select(Gt(Col("strength"), Lit(7.0)))
+          .Project({"name"})
+          .Build(),
+      SeqRef("ibm")
+          .Agg(AggFunc::kAvg, "close", 21, "ma21")
+          .ComposeWith(SeqRef("ibm").Agg(AggFunc::kAvg, "close", 5, "ma5"))
+          .Build(),
+  };
+  for (const LogicalOpPtr& graph : graphs) {
+    Query query;
+    query.graph = graph;
+    RunOptions opts;
+    opts.exec.use_batch = true;
+    opts.exec.parallelism = 4;
+    opts.exec.morsel_size = 256;
+    opts.profile = true;
+    auto run = engine_.Run(query, opts);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->profile.has_value());
+    bool saw_parallel = false;
+    for (const std::string& note : run->profile->notes) {
+      if (note.find("parallel:") != std::string::npos) saw_parallel = true;
+    }
+    EXPECT_TRUE(saw_parallel)
+        << graph->ToTreeString()
+        << "expected a 'parallel:' execution note, notes were: "
+        << ::testing::PrintToString(run->profile->notes);
   }
-  EXPECT_TRUE(saw_parallel)
-      << "expected a 'parallel:' execution note, notes were: "
-      << ::testing::PrintToString(run->profile->notes);
 }
 
 // Budget trips must fire at the same point — same ok-ness, same status

@@ -237,6 +237,17 @@ class CheckpointTest : public ::testing::Test {
     sparse.seed = 9;
     sparse.records_per_page = 16;
     ASSERT_TRUE(engine.RegisterBase("sp", *MakeIntSeries(sparse)).ok());
+    EventSeriesOptions quakes;
+    quakes.span = Span::Of(0, 63);
+    quakes.density = 0.3;
+    quakes.seed = 11;
+    ASSERT_TRUE(engine.RegisterBase("quakes", *MakeEarthquakes(quakes)).ok());
+    EventSeriesOptions volcanos;
+    volcanos.span = Span::Of(0, 63);
+    volcanos.density = 0.2;
+    volcanos.seed = 13;
+    ASSERT_TRUE(
+        engine.RegisterBase("volcanos", *MakeVolcanos(volcanos)).ok());
   }
 
   Engine engine_;
@@ -246,10 +257,13 @@ TEST_F(CheckpointTest, SuspendAtEveryBoundaryMatchesUninterruptedRun) {
   struct Shape {
     std::string name;
     LogicalOpPtr graph;
-    // Shapes whose plans cannot chunk (materialized running aggregate,
-    // lock-step compose) fall back to an uninterrupted run: suspend
-    // triggers are ignored, but every parity check below still holds.
+    // Shapes whose plans cannot chunk fall back to an uninterrupted run:
+    // suspend triggers are ignored, but every parity check below still
+    // holds. Under a probed root the running aggregate is materialized
+    // and the Cache-B value offset is probed by the root itself; neither
+    // chunks.
     bool chunkable = true;
+    bool chunkable_probed = true;
   };
   const std::vector<Shape> shapes = {
       {"window-chain", SeqRef("s")
@@ -261,9 +275,25 @@ TEST_F(CheckpointTest, SuspendAtEveryBoundaryMatchesUninterruptedRun) {
        SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{100}))).Build()},
       {"pos-offset", SeqRef("s").Offset(3).Project({"value"}).Build()},
       {"running-sum", SeqRef("s").RunningAgg(AggFunc::kSum, "value").Build(),
-       /*chunkable=*/false},
+       /*chunkable=*/false, /*chunkable_probed=*/false},
       {"compose", SeqRef("s").ComposeWith(SeqRef("sp").Prev()).Build(),
-       /*chunkable=*/false},
+       /*chunkable=*/true, /*chunkable_probed=*/false},
+      // Dense lock-step compose feeding a window.
+      {"lockstep-window", SeqRef("s")
+                              .ComposeWith(SeqRef("sp"))
+                              .Agg(AggFunc::kSum, "value", 4)
+                              .Build()},
+      // Sparse lock-step pair: the merge skips through long gaps.
+      {"lockstep-sparse",
+       SeqRef("quakes").ComposeWith(SeqRef("volcanos")).Build()},
+      // Fig. 1: volcanos composed with the previous earthquake.
+      {"fig1",
+       SeqRef("volcanos")
+           .ComposeWith(SeqRef("quakes").Prev())
+           .Select(Gt(Col("strength"), Lit(5.5)))
+           .Project({"name"})
+           .Build(),
+       /*chunkable=*/true, /*chunkable_probed=*/false},
   };
   for (bool probed : {false, true}) {
     engine_.options().force_root_mode =
@@ -312,7 +342,7 @@ TEST_F(CheckpointTest, SuspendAtEveryBoundaryMatchesUninterruptedRun) {
             ChainOutcome got = RunSuspendChain(engine_, query, opts, k);
             const std::string label = ctx + " k=" + std::to_string(k);
             ASSERT_TRUE(got.status.ok()) << label << ": " << got.status;
-            if (shape.chunkable) {
+            if (probed ? shape.chunkable_probed : shape.chunkable) {
               EXPECT_GE(got.suspensions, 1) << label;
             }
             ExpectSameRows(base.result, got.result, label);

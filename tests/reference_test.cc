@@ -21,6 +21,31 @@ constexpr Span kSpan = Span::Of(0, 399);
 // Horizon with slack so offsets shifted outside the span stay exact.
 constexpr Span kHorizon = Span::Of(-60, 459);
 
+// Byte-identical rows: morsel-parallel runs must reproduce serial answers
+// exactly, doubles included.
+void ExpectIdenticalRows(const QueryResult& a, const QueryResult& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.records.size(), b.records.size()) << label;
+  for (size_t i = 0; i < a.records.size(); ++i) {
+    ASSERT_EQ(a.records[i].pos, b.records[i].pos) << label << " idx " << i;
+    ASSERT_EQ(a.records[i].rec, b.records[i].rec)
+        << label << " pos " << a.records[i].pos;
+  }
+}
+
+void ExpectSameCounters(const AccessStats& a, const AccessStats& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.stream_records, b.stream_records) << label;
+  EXPECT_EQ(a.stream_pages, b.stream_pages) << label;
+  EXPECT_EQ(a.probes, b.probes) << label;
+  EXPECT_EQ(a.probe_pages, b.probe_pages) << label;
+  EXPECT_EQ(a.cache_stores, b.cache_stores) << label;
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
+  EXPECT_EQ(a.predicate_evals, b.predicate_evals) << label;
+  EXPECT_EQ(a.agg_steps, b.agg_steps) << label;
+  EXPECT_EQ(a.records_output, b.records_output) << label;
+}
+
 class OracleTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OracleTest, EngineMatchesReferenceOnRandomGraphs) {
@@ -40,10 +65,35 @@ TEST_P(OracleTest, EngineMatchesReferenceOnRandomGraphs) {
     if (!engine_result.ok()) continue;  // degenerate random graph
     auto oracle = reference.Materialize(*graph, range);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
-    ExpectSameRecords(engine_result->records, *oracle,
-                      "seed " + std::to_string(seed) + " trial " +
-                          std::to_string(trial) + "\n" +
-                          graph->ToTreeString());
+    const std::string label = "seed " + std::to_string(seed) + " trial " +
+                              std::to_string(trial) + "\n" +
+                              graph->ToTreeString();
+    ExpectSameRecords(engine_result->records, *oracle, label);
+
+    // Morsel parity: 4 workers over 32-position morsels must reproduce the
+    // serial rows byte for byte and every integer counter, which puts a
+    // morsel boundary between almost any two records of the random
+    // compose and offset trees.
+    Query query;
+    query.graph = graph;
+    query.range = range;
+    RunOptions serial_opts;
+    serial_opts.exec.parallelism = 1;
+    AccessStats serial_stats;
+    serial_opts.stats = &serial_stats;
+    auto serial = engine.Run(query, serial_opts);
+    ASSERT_TRUE(serial.ok()) << label << serial.status();
+    RunOptions par_opts;
+    par_opts.exec.use_batch = true;
+    par_opts.exec.parallelism = 4;
+    par_opts.exec.morsel_size = 32;
+    AccessStats par_stats;
+    par_opts.stats = &par_stats;
+    auto par = engine.Run(query, par_opts);
+    ASSERT_TRUE(par.ok()) << label << par.status();
+    ExpectSameRecords(par->records, *oracle, label + " [parallel]");
+    ExpectIdenticalRows(*serial, *par, label + " [parallel]");
+    ExpectSameCounters(serial_stats, par_stats, label + " [parallel]");
   }
 }
 
