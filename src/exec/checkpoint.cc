@@ -23,7 +23,7 @@ void OpStateWriter::Val(const Value& v) {
       U8(v.boolean() ? 1 : 0);
       break;
     case TypeId::kString: {
-      const std::string& s = v.str();
+      std::string_view s = v.str_view();
       I64(static_cast<int64_t>(s.size()));
       blob_.append(s);
       break;

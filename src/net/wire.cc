@@ -67,7 +67,7 @@ void WireWriter::F64(double v) {
   U64(bits);
 }
 
-void WireWriter::Str(const std::string& s) {
+void WireWriter::Str(std::string_view s) {
   U32(static_cast<uint32_t>(s.size()));
   buf_.append(s);
 }
@@ -85,7 +85,7 @@ void WireWriter::Value(const seq::Value& v) {
       U8(v.boolean() ? 1 : 0);
       break;
     case TypeId::kString:
-      Str(v.str());
+      Str(v.str_view());
       break;
   }
 }

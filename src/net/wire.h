@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -103,7 +104,7 @@ class WireWriter {
   void U64(uint64_t v) { AppendLe(v); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
   void F64(double v);
-  void Str(const std::string& s);
+  void Str(std::string_view s);
   void Value(const class Value& v);
   void Stats(const AccessStats& stats);
 

@@ -1,11 +1,32 @@
 #include "parser/unparse.h"
 
+#include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.h"
 
 namespace seq {
 namespace {
+
+/// Writes a double literal so that the parser reads back the same bits:
+/// the shortest round-trip digits in fixed notation (the lexer has no
+/// exponent syntax), with ".0" added to whole numbers so they lex as
+/// doubles rather than int64s. FormatDouble's 6-significant-digit display
+/// form would change the literal.
+void UnparseDouble(double v, std::ostringstream* out) {
+  // Fixed notation of any finite double fits: at most 309 integer digits,
+  // or "0." plus 323 fraction digits.
+  char buf[400];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::fixed);
+  SEQ_CHECK(ec == std::errc());
+  std::string_view text(buf, static_cast<size_t>(end - buf));
+  *out << text;
+  if (text.find_first_not_of("-0123456789") == std::string_view::npos) {
+    *out << ".0";
+  }
+}
 
 void UnparseExprImpl(const Expr& expr, std::ostringstream* out) {
   switch (expr.kind()) {
@@ -19,7 +40,9 @@ void UnparseExprImpl(const Expr& expr, std::ostringstream* out) {
     case ExprKind::kLiteral: {
       const Value& v = expr.literal();
       if (v.type() == TypeId::kString) {
-        *out << "\"" << v.str() << "\"";
+        *out << "\"" << v.str_view() << "\"";
+      } else if (v.type() == TypeId::kDouble) {
+        UnparseDouble(v.dbl(), out);
       } else {
         *out << v.ToString();
       }

@@ -30,7 +30,7 @@ void WritePod(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-void WriteString(std::ostream& out, const std::string& s) {
+void WriteString(std::ostream& out, std::string_view s) {
   WritePod<uint32_t>(out, static_cast<uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
@@ -62,7 +62,7 @@ void WriteValue(std::ostream& out, const Value& v) {
       WritePod<uint8_t>(out, v.boolean() ? 1 : 0);
       break;
     case TypeId::kString:
-      WriteString(out, v.str());
+      WriteString(out, v.str_view());
       break;
   }
 }

@@ -52,10 +52,15 @@ std::string ColumnStats::ToString() const {
 
 std::vector<ColumnStats> ComputeColumnStats(
     const std::vector<PosRecord>& records, const Schema& schema) {
-  std::vector<ColumnStats> stats(schema.num_fields());
-  std::vector<std::unordered_set<size_t>> distinct_hashes(schema.num_fields());
+  const size_t num_fields = schema.num_fields();
+  std::vector<ColumnStats> stats(num_fields);
+  // Sized up front for every value a set can hold, so none rehashes.
+  std::vector<std::unordered_set<size_t>> distinct_hashes(num_fields);
+  for (auto& seen : distinct_hashes) {
+    seen.reserve(std::min(records.size(), kDistinctCap));
+  }
   for (const PosRecord& pr : records) {
-    for (size_t i = 0; i < schema.num_fields() && i < pr.rec.size(); ++i) {
+    for (size_t i = 0; i < num_fields && i < pr.rec.size(); ++i) {
       ColumnStats& cs = stats[i];
       const Value& v = pr.rec[i];
       ++cs.count;
@@ -68,23 +73,38 @@ std::vector<ColumnStats> ComputeColumnStats(
       if (seen.size() < kDistinctCap) seen.insert(v.Hash());
     }
   }
-  for (size_t i = 0; i < stats.size(); ++i) {
+  for (size_t i = 0; i < num_fields; ++i) {
     stats[i].distinct = static_cast<int64_t>(distinct_hashes[i].size());
   }
-  // Second pass: equi-width histograms for numeric columns with a range.
-  for (size_t i = 0; i < stats.size(); ++i) {
+  // Second pass: one walk fills the equi-width histograms of every numeric
+  // column with a range.
+  struct Histogram {
+    size_t column;
+    double min;
+    double width;
+    int64_t* counts;
+  };
+  std::vector<Histogram> histograms;
+  for (size_t i = 0; i < num_fields; ++i) {
     ColumnStats& cs = stats[i];
     if (!cs.min.has_value() || !cs.max.has_value() || *cs.max <= *cs.min) {
       continue;
     }
     cs.bucket_counts.assign(ColumnStats::kHistogramBuckets, 0);
-    double width = (*cs.max - *cs.min) / ColumnStats::kHistogramBuckets;
-    for (const PosRecord& pr : records) {
-      if (i >= pr.rec.size() || !IsNumeric(pr.rec[i].type())) continue;
-      double d = pr.rec[i].AsDouble();
-      int b = static_cast<int>((d - *cs.min) / width);
+    histograms.push_back(
+        Histogram{i, *cs.min,
+                  (*cs.max - *cs.min) / ColumnStats::kHistogramBuckets,
+                  cs.bucket_counts.data()});
+  }
+  if (histograms.empty()) return stats;
+  for (const PosRecord& pr : records) {
+    for (const Histogram& h : histograms) {
+      if (h.column >= pr.rec.size()) continue;
+      const Value& v = pr.rec[h.column];
+      if (!IsNumeric(v.type())) continue;
+      int b = static_cast<int>((v.AsDouble() - h.min) / h.width);
       b = std::clamp(b, 0, ColumnStats::kHistogramBuckets - 1);
-      ++cs.bucket_counts[static_cast<size_t>(b)];
+      ++h.counts[b];
     }
   }
   return stats;

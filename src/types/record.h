@@ -27,9 +27,11 @@ struct PosRecord {
 
 /// A reusable column of rows for batch-at-a-time execution: parallel
 /// arrays of positions and records with a fixed capacity. Clear() resets
-/// the row count but keeps every record's buffer (and, transitively, the
-/// capacity of any string values assigned in place), so a batch that is
-/// refilled by the same operator reaches an allocation-free steady state.
+/// the row count but keeps every record's buffer, so a batch that is
+/// refilled by the same operator reaches an allocation-free steady state:
+/// a Value is a fixed 16 bytes, so refilling a slot copies values into the
+/// slot's existing vector (short strings inline, long ones by sharing their
+/// refcounted heap block) and allocates nothing.
 ///
 /// Ownership/reuse rules (see docs/execution.md):
 ///  * the driver that allocates a batch owns it; each operator in a
@@ -77,8 +79,9 @@ class RecordBatch {
   std::vector<Record> records_;
 };
 
-/// Copies `src` into `dst` field-by-field, reusing dst's vector buffer and
-/// (for strings) each value's existing heap allocation where possible.
+/// Copies `src` into `dst` field-by-field, reusing dst's vector buffer.
+/// Each field copy is a 16-byte copy (plus a reference-count increment for
+/// a string longer than Value::kInlineCapacity).
 inline void AssignRecord(Record& dst, const Record& src) {
   dst.resize(src.size());
   for (size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
@@ -93,18 +96,14 @@ inline void MoveRecordValues(Record& dst, Record& src) {
 }
 
 /// Approximate heap footprint of one record in bytes: vector header plus
-/// one Value per field plus string payloads. Used by the operator-cache
-/// memory budget (QueryGuards::max_cache_bytes); an estimate is enough —
-/// the budget models memory pressure, not an allocator.
+/// one 16-byte Value per field plus the heap blocks of strings too long to
+/// store inline. Used by the operator-cache memory budget
+/// (QueryGuards::max_cache_bytes); an estimate is enough — the budget
+/// models memory pressure, not an allocator.
 inline int64_t ApproxRecordBytes(const Record& rec) {
-  int64_t bytes =
-      static_cast<int64_t>(sizeof(Record) + rec.size() * sizeof(Value));
-  for (const Value& v : rec) {
-    if (v.type() == TypeId::kString) {
-      bytes += static_cast<int64_t>(v.str().capacity());
-    }
-  }
-  return bytes;
+  size_t bytes = sizeof(Record) + rec.size() * sizeof(Value);
+  for (const Value& v : rec) bytes += v.HeapBytes();
+  return static_cast<int64_t>(bytes);
 }
 
 /// True if `rec` matches `schema` arity and field types.

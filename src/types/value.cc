@@ -1,6 +1,7 @@
 #include "types/value.h"
 
 #include <functional>
+#include <new>
 
 #include "common/string_util.h"
 
@@ -34,6 +35,30 @@ int CompareDoubles(double a, double b) {
 
 }  // namespace
 
+Value Value::String(std::string_view s) {
+  Value v;
+  v.raw_[kTypeByte] = static_cast<uint8_t>(TypeId::kString);
+  if (s.size() <= kInlineCapacity) {
+    if (!s.empty()) std::memcpy(v.raw_, s.data(), s.size());
+    v.raw_[kLenByte] = static_cast<uint8_t>(s.size());
+    return v;
+  }
+  void* block = ::operator new(sizeof(HeapString) + s.size());
+  HeapString* h = new (block) HeapString{{1}, s.size()};
+  std::memcpy(reinterpret_cast<char*>(h + 1), s.data(), s.size());
+  std::memcpy(v.raw_, &h, sizeof(h));
+  v.raw_[kLenByte] = kHeapLen;
+  return v;
+}
+
+void Value::Release() noexcept {
+  HeapString* h = heap();
+  if (h->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    h->~HeapString();
+    ::operator delete(h);
+  }
+}
+
 int Value::Compare(const Value& other) const {
   if (IsNumeric(type()) && IsNumeric(other.type())) {
     if (type() == TypeId::kInt64 && other.type() == TypeId::kInt64) {
@@ -53,10 +78,10 @@ int Value::Compare(const Value& other) const {
       int b = other.boolean() ? 1 : 0;
       return a - b;
     }
-    case TypeId::kString:
-      return str().compare(other.str()) < 0   ? -1
-             : str().compare(other.str()) > 0 ? 1
-                                              : 0;
+    case TypeId::kString: {
+      int c = str_view().compare(other.str_view());
+      return c < 0 ? -1 : c > 0 ? 1 : 0;
+    }
     default:
       SEQ_CHECK(false);
   }
@@ -72,7 +97,7 @@ size_t Value::Hash() const {
     case TypeId::kBool:
       return std::hash<bool>()(boolean());
     case TypeId::kString:
-      return std::hash<std::string>()(str());
+      return std::hash<std::string_view>()(str_view());
   }
   return 0;
 }

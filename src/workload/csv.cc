@@ -209,7 +209,7 @@ std::string SequenceToCsv(const BaseSequenceStore& store, char delimiter) {
     for (const Value& v : pr.rec) {
       out << delimiter;
       if (v.type() == TypeId::kString) {
-        out << v.str();  // no quoting: simple values only
+        out << v.str_view();  // no quoting: simple values only
       } else {
         out << v.ToString();
       }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "exec/checkpoint.h"
 #include "exec/fault_injector.h"
@@ -254,6 +255,16 @@ class CheckpointTest : public ::testing::Test {
 };
 
 TEST_F(CheckpointTest, SuspendAtEveryBoundaryMatchesUninterruptedRun) {
+  // A full-precision double taken from the data: the last earthquake's
+  // strength. Resume re-parses the query text, so the literal must survive
+  // unparse bit for bit or the equality below stops matching after the
+  // first suspension (its 6-significant-digit display form does not).
+  auto all_quakes = engine_.Run(SeqRef("quakes").Build(), Span::Of(0, 63));
+  ASSERT_TRUE(all_quakes.ok()) << all_quakes.status();
+  ASSERT_FALSE(all_quakes->records.empty());
+  const double last_strength = all_quakes->records.back().rec[0].dbl();
+  ASSERT_NE(std::stod(FormatDouble(last_strength)), last_strength);
+
   struct Shape {
     std::string name;
     LogicalOpPtr graph;
@@ -294,6 +305,21 @@ TEST_F(CheckpointTest, SuspendAtEveryBoundaryMatchesUninterruptedRun) {
            .Project({"name"})
            .Build(),
        /*chunkable=*/true, /*chunkable_probed=*/false},
+      // A whole-number double literal must resume as a double, not as the
+      // int64 "5" (which changes the plan signature).
+      {"fig1-whole-literal",
+       SeqRef("volcanos")
+           .ComposeWith(SeqRef("quakes").Prev())
+           .Select(Gt(Col("strength"), Lit(5.0)))
+           .Project({"name"})
+           .Build(),
+       /*chunkable=*/true, /*chunkable_probed=*/false},
+      // A high-precision literal matching exactly one row, in the last
+      // chunk.
+      {"exact-literal",
+       SeqRef("quakes")
+           .Select(Eq(Col("strength"), Lit(last_strength)))
+           .Build()},
   };
   for (bool probed : {false, true}) {
     engine_.options().force_root_mode =
@@ -456,7 +482,7 @@ TEST_F(CheckpointTest, RegistryRequestSuspendFlagsLiveQuery) {
   opts.exec.checkpoint.chunk = 512;
   opts.exec.checkpoint.path = TmpPath("ckpt_registry_request.ckpt");
 
-  Result<QueryResult> outcome = Status::OK();
+  Result<QueryResult> outcome = Status::Internal("runner did not finish");
   std::thread runner([&] { outcome = big.Run(query, opts); });
   bool flagged = false;
   for (int i = 0; i < 200000 && !flagged; ++i) {

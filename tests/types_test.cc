@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "types/record.h"
 #include "types/schema.h"
 #include "types/span.h"
@@ -10,6 +16,8 @@
 
 namespace seq {
 namespace {
+
+using namespace std::string_literals;
 
 // --- Span -------------------------------------------------------------------
 
@@ -141,6 +149,144 @@ TEST(ValueTest, TypeNames) {
   EXPECT_STREQ(TypeName(TypeId::kString), "string");
   EXPECT_TRUE(IsNumeric(TypeId::kDouble));
   EXPECT_FALSE(IsNumeric(TypeId::kBool));
+}
+
+static_assert(sizeof(Value) == 16);
+
+TEST(ValueTest, StringInlineHeapBoundary) {
+  // 0 and 14 bytes live inline (no heap block); 15 bytes is the first
+  // heap-backed length.
+  for (size_t len : {size_t{0}, size_t{1}, Value::kInlineCapacity,
+                     Value::kInlineCapacity + 1, size_t{200}}) {
+    const std::string s(len, 'x');
+    Value v = Value::String(s);
+    EXPECT_EQ(v.type(), TypeId::kString);
+    EXPECT_EQ(v.str(), s) << len;
+    EXPECT_EQ(v.str_view().size(), len);
+    EXPECT_EQ(v.HeapBytes() == 0, len <= Value::kInlineCapacity) << len;
+  }
+  EXPECT_EQ(Value::kInlineCapacity, 14u);
+  // Every generated label fits inline.
+  EXPECT_EQ(Value::String("volcano123456").HeapBytes(), 0u);
+}
+
+TEST(ValueTest, StringsKeepEmbeddedNuls) {
+  for (const std::string& s :
+       {"a\0b"s, "\0"s, "long string with a \0 inside it"s}) {
+    Value v = Value::String(s);
+    EXPECT_EQ(v.str(), s);
+    EXPECT_EQ(v.str_view().size(), s.size());
+    Value copy = v;
+    EXPECT_EQ(copy.Compare(v), 0);
+  }
+  EXPECT_LT(Value::String("a\0a"s).Compare(Value::String("a\0b"s)), 0);
+  EXPECT_NE(Value::String("a\0"s), Value::String("a"));
+}
+
+std::vector<Value> OneOfEachKind() {
+  return {Value::Int64(-7),
+          Value::Double(2.25),
+          Value::Bool(true),
+          Value::String("short"),
+          Value::String(""),
+          Value::String("a string well past the inline capacity")};
+}
+
+void ExpectSameValue(const Value& a, const Value& b, const std::string& ctx) {
+  ASSERT_EQ(a.type(), b.type()) << ctx;
+  EXPECT_EQ(a.Compare(b), 0) << ctx;
+  EXPECT_EQ(a.Hash(), b.Hash()) << ctx;
+}
+
+TEST(ValueTest, CopyMoveAndSwapAcrossEveryTypePair) {
+  const std::vector<Value> kinds = OneOfEachKind();
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    for (size_t j = 0; j < kinds.size(); ++j) {
+      const std::string ctx = kinds[i].ToString() + " <- " +
+                              kinds[j].ToString();
+      // Copy construction and copy assignment over a live value.
+      Value copied(kinds[j]);
+      ExpectSameValue(copied, kinds[j], ctx + " copy-construct");
+      Value assigned = kinds[i];
+      assigned = kinds[j];
+      ExpectSameValue(assigned, kinds[j], ctx + " copy-assign");
+      // Move construction and move assignment; the source stays usable.
+      Value source = kinds[j];
+      Value moved(std::move(source));
+      ExpectSameValue(moved, kinds[j], ctx + " move-construct");
+      source = kinds[i];
+      ExpectSameValue(source, kinds[i], ctx + " reuse moved-from");
+      Value target = kinds[i];
+      Value donor = kinds[j];
+      target = std::move(donor);
+      ExpectSameValue(target, kinds[j], ctx + " move-assign");
+      // Swap both ways.
+      Value a = kinds[i];
+      Value b = kinds[j];
+      std::swap(a, b);
+      ExpectSameValue(a, kinds[j], ctx + " swap a");
+      ExpectSameValue(b, kinds[i], ctx + " swap b");
+    }
+    // The originals are untouched by everything above.
+    ExpectSameValue(kinds[i], OneOfEachKind()[i], "original");
+  }
+}
+
+TEST(ValueTest, SelfAssignment) {
+  for (const Value& kind : OneOfEachKind()) {
+    Value v = kind;
+    Value& alias = v;
+    v = alias;
+    ExpectSameValue(v, kind, kind.ToString() + " self copy");
+    v = std::move(alias);
+    ExpectSameValue(v, kind, kind.ToString() + " self move");
+  }
+}
+
+TEST(ValueTest, StringHashMatchesStdHash) {
+  for (const std::string& s :
+       {std::string(), std::string("region7"), std::string(14, 'q'),
+        std::string(15, 'q'), "x\0y"s,
+        std::string(100, 'z')}) {
+    EXPECT_EQ(Value::String(s).Hash(), std::hash<std::string>{}(s)) << s;
+  }
+}
+
+TEST(ValueTest, CompareInlineAgainstHeapStrings) {
+  const Value inline_short = Value::String("abc");             // inline
+  const Value inline_full = Value::String("abcdefghijklmn");   // 14, inline
+  const Value heap_longer = Value::String("abcdefghijklmno");  // 15, heap
+  const Value heap_other = Value::String("abcdefghijklmnp");   // 15, heap
+  EXPECT_LT(inline_short.Compare(heap_longer), 0);
+  EXPECT_GT(heap_longer.Compare(inline_short), 0);
+  EXPECT_LT(inline_full.Compare(heap_longer), 0);  // proper prefix
+  EXPECT_GT(heap_longer.Compare(inline_full), 0);
+  EXPECT_LT(heap_longer.Compare(heap_other), 0);
+  EXPECT_GT(Value::String("b").Compare(heap_longer), 0);
+  EXPECT_EQ(heap_longer.Compare(Value::String("abcdefghijklmno")), 0);
+}
+
+TEST(ValueTest, LongStringSharedAcrossThreads) {
+  const std::string text(64, 'L');
+  const Value shared = Value::String(text);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &text] {
+      std::vector<Value> copies;
+      for (int i = 0; i < 20000; ++i) {
+        copies.push_back(shared);
+        if (copies.size() == 64) {
+          EXPECT_EQ(copies.back().str_view(), text);
+          copies.clear();
+        }
+        Value moved = shared;
+        Value sink = std::move(moved);
+        sink = Value::Int64(i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared.str(), text);
 }
 
 // --- Schema -----------------------------------------------------------------

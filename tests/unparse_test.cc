@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "core/engine.h"
 #include "parser/parser.h"
 #include "parser/unparse.h"
@@ -57,6 +61,41 @@ TEST(UnparseTest, VoffsetSpellsPrevNextAndGeneral) {
   EXPECT_EQ(*next, "q = next(s);");
   auto general = UnparseQuery(*SeqRef("s").ValueOffset(-4).Build());
   EXPECT_EQ(*general, "q = voffset(s, -4);");
+}
+
+TEST(UnparseTest, DoubleLiteralsParseBackBitIdentical) {
+  const double cases[] = {5.0,
+                          5.5,
+                          1234.5678,
+                          55.2447131,
+                          0.1,
+                          1.0 / 3.0,
+                          1e20,
+                          1e-7,
+                          123456789012345680.0,
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::min(),
+                          0.0};
+  for (double d : cases) {
+    auto graph = SeqRef("s").Select(Gt(Col("v"), Lit(d))).Build();
+    auto text = UnparseQuery(*graph);
+    ASSERT_TRUE(text.ok()) << text.status();
+    auto reparsed = ParseSequinQuery(*text);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << *text;
+    const Value& lit = (*reparsed)->predicate()->right()->literal();
+    ASSERT_EQ(lit.type(), TypeId::kDouble) << *text;
+    uint64_t want = 0;
+    uint64_t got = 0;
+    double parsed = lit.dbl();
+    std::memcpy(&want, &d, sizeof(d));
+    std::memcpy(&got, &parsed, sizeof(parsed));
+    EXPECT_EQ(got, want) << *text;
+  }
+  // Whole numbers keep a fraction so they stay doubles; display rounding
+  // (FormatDouble's %.6g) does not leak into the query text.
+  EXPECT_EQ(UnparseExpr(*Lit(5.0)), "5.0");
+  EXPECT_EQ(UnparseExpr(*Lit(-2.0)), "-2.0");
+  EXPECT_EQ(UnparseExpr(*Lit(1234.5678)), "1234.5678");
 }
 
 class RoundTripTest : public ::testing::TestWithParam<uint64_t> {};
