@@ -1311,18 +1311,26 @@ Result<QueryResult> Executor::ExecuteParallelInner(
     SEQ_ASSIGN_OR_RETURN(SeqOpPtr skeleton, Build(plan.root, root_profile));
     (void)skeleton;
   }
-  std::vector<OperatorProfile> unit_profiles(
-      root_profile != nullptr ? n_units : 0);
-
-  std::vector<AccessStats> unit_stats(n_units);
-  std::vector<std::vector<PosRecord>> unit_records(n_units);
+  // Everything a unit writes while it runs: its private counters (charged
+  // once per record), its output rows (the vector's end pointer moves once
+  // per row) and its profile tree. One slot per unit, each on its own
+  // cache lines: in adjacent array elements, neighbouring workers would
+  // write the same line on every record. 128 bytes, not 64, because the
+  // adjacent-line prefetcher pulls lines in pairs.
+  struct alignas(128) UnitSlot {
+    AccessStats stats;
+    std::vector<PosRecord> records;
+    OperatorProfile profile;
+  };
+  static_assert(alignof(UnitSlot) == 128 && sizeof(UnitSlot) % 128 == 0);
+  std::vector<UnitSlot> slots(n_units);
   {
     const double est = probed_list ? static_cast<double>(plan.positions.size())
                                    : plan.root->EstRows();
     const size_t per_unit = std::min(
         static_cast<size_t>(std::max(est, 0.0)) / n_units + 16,
         size_t{1} << 18);
-    for (auto& v : unit_records) v.reserve(per_unit);
+    for (UnitSlot& slot : slots) slot.records.reserve(per_unit);
   }
 
   SharedGuardState shared;
@@ -1337,9 +1345,10 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   auto run_unit = [&](size_t ui) {
     const auto unit_start = std::chrono::steady_clock::now();
     const Unit& unit = units[ui];
+    UnitSlot& slot = slots[ui];
     ExecContext ctx;
     ctx.catalog = &catalog_;
-    ctx.stats = &unit_stats[ui];
+    ctx.stats = &slot.stats;
     ctx.params = params_;
     ctx.faults = nullptr;  // an armed injector forces serial in PlanMorsels
     ctx.guards = options_.guards;
@@ -1351,8 +1360,8 @@ Result<QueryResult> Executor::ExecuteParallelInner(
     ctx.guards.cancel = &shared.stop;
     if (has_deadline) ctx.ArmGuardsAt(deadline);
 
-    Result<SeqOpPtr> built = Build(
-        unit.node, root_profile != nullptr ? &unit_profiles[ui] : nullptr);
+    Result<SeqOpPtr> built =
+        Build(unit.node, root_profile != nullptr ? &slot.profile : nullptr);
     if (!built.ok()) {
       shared.Fail(built.status());
       return;
@@ -1364,8 +1373,8 @@ Result<QueryResult> Executor::ExecuteParallelInner(
       return;
     }
 
-    std::vector<PosRecord>& out = unit_records[ui];
-    AccessStats& mstats = unit_stats[ui];
+    std::vector<PosRecord>& out = slot.records;
+    AccessStats& mstats = slot.stats;
     int64_t pages_seen = 0;
 
     // Post-batch accounting against the shared budgets, in the serial
@@ -1523,12 +1532,14 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   // deterministic, and merged even on failure — the serial path also
   // leaves partial charges in the caller's stats block.
   if (stats != nullptr) {
-    for (const AccessStats& ms : unit_stats) stats->Merge(ms);
+    for (const UnitSlot& slot : slots) stats->Merge(slot.stats);
   }
   if (root_profile != nullptr && !root_profile->children.empty()) {
     OperatorProfile* skel = root_profile->children.back().get();
-    for (const OperatorProfile& up : unit_profiles) {
-      if (!up.children.empty()) MergeProfileTree(skel, *up.children[0]);
+    for (const UnitSlot& slot : slots) {
+      if (!slot.profile.children.empty()) {
+        MergeProfileTree(skel, *slot.profile.children[0]);
+      }
     }
   }
   SEQ_RETURN_IF_ERROR(shared.TakeStatus());
@@ -1536,10 +1547,10 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   QueryResult result;
   result.schema = plan.schema;
   size_t total = 0;
-  for (const auto& v : unit_records) total += v.size();
+  for (const UnitSlot& slot : slots) total += slot.records.size();
   result.records.reserve(total);
-  for (auto& v : unit_records) {
-    for (PosRecord& r : v) result.records.push_back(std::move(r));
+  for (UnitSlot& slot : slots) {
+    for (PosRecord& r : slot.records) result.records.push_back(std::move(r));
   }
   return result;
 }

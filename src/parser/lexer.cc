@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace seq {
 namespace {
@@ -69,17 +71,20 @@ Result<std::vector<Token>> Tokenize(const std::string& source) {
         advance(1);
       }
       std::string text = source.substr(start, i - start);
-      // stoll/stod throw on out-of-range input; a user typing a 40-digit
-      // literal gets a parse error, not a crash.
-      try {
-        if (is_double) {
-          tok.kind = TokKind::kDouble;
-          tok.double_value = std::stod(text);
-        } else {
-          tok.kind = TokKind::kInt;
-          tok.int_value = std::stoll(text);
-        }
-      } catch (const std::exception&) {
+      // from_chars accepts subnormal doubles, so an unparsed denorm_min
+      // reads back, and reports a value that cannot be represented, such
+      // as a 40-digit integer or a 400-digit double, as an error.
+      const char* first = text.data();
+      const char* last = first + text.size();
+      std::from_chars_result parsed;
+      if (is_double) {
+        tok.kind = TokKind::kDouble;
+        parsed = std::from_chars(first, last, tok.double_value);
+      } else {
+        tok.kind = TokKind::kInt;
+        parsed = std::from_chars(first, last, tok.int_value);
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
         return Status::ParseError("numeric literal '" + text +
                                   "' out of range at line " +
                                   std::to_string(tok.line) + ", column " +

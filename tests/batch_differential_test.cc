@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -419,6 +420,15 @@ TEST_F(BatchDifferentialTest, EmptyAndEdgeResults) {
   RunBoth(engine_, SeqRef("sp"), Span::Of(3990, 4000), "nearly empty tail");
 }
 
+/// True when the run took the morsel-parallel path: the executor records
+/// that decision as a "parallel:" profile note.
+bool WentParallel(const QueryProfile& profile) {
+  return std::any_of(profile.notes.begin(), profile.notes.end(),
+                     [](const std::string& note) {
+                       return note.find("parallel:") != std::string::npos;
+                     });
+}
+
 TEST_F(BatchDifferentialTest, MorselDrivingActuallyGoesParallel) {
   // Guard against the sweep above silently degenerating: partitionable
   // plans with forced morsels — a selection, the lock-step compose, the
@@ -448,14 +458,88 @@ TEST_F(BatchDifferentialTest, MorselDrivingActuallyGoesParallel) {
     auto run = engine_.Run(query, opts);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     ASSERT_TRUE(run->profile.has_value());
-    bool saw_parallel = false;
-    for (const std::string& note : run->profile->notes) {
-      if (note.find("parallel:") != std::string::npos) saw_parallel = true;
-    }
-    EXPECT_TRUE(saw_parallel)
+    EXPECT_TRUE(WentParallel(*run->profile))
         << graph->ToTreeString()
         << "expected a 'parallel:' execution note, notes were: "
         << ::testing::PrintToString(run->profile->notes);
+  }
+}
+
+/// Walks two profile trees in lock step: same shape, and per node the same
+/// rows out and operator-cache hits and stores.
+void ExpectSameProfileCounts(const OperatorProfile& serial,
+                             const OperatorProfile& parallel,
+                             const std::string& label) {
+  const std::string node = label + " @ " + serial.label;
+  EXPECT_EQ(serial.label, parallel.label) << node;
+  EXPECT_EQ(serial.rows_out, parallel.rows_out) << node;
+  EXPECT_EQ(serial.cache_hits, parallel.cache_hits) << node;
+  EXPECT_EQ(serial.cache_stores, parallel.cache_stores) << node;
+  ASSERT_EQ(serial.children.size(), parallel.children.size()) << node;
+  for (size_t i = 0; i < serial.children.size(); ++i) {
+    ExpectSameProfileCounts(*serial.children[i], *parallel.children[i],
+                            label);
+  }
+}
+
+TEST_F(BatchDifferentialTest, ParallelProfileMergeMatchesSerial) {
+  // Each morsel profiles into its own scratch tree, and the barrier merges
+  // those trees into the plan's skeleton in morsel order. The merged
+  // per-operator counts must be the serial run's, node by node.
+  StockSeriesOptions hp;
+  hp.span = Span::Of(1, 2400);
+  hp.density = 1.0;
+  hp.seed = 43;
+  ASSERT_TRUE(engine_.RegisterBase("hp", *MakeStockSeries(hp)).ok());
+  const std::vector<std::pair<std::string, LogicalOpPtr>> graphs = {
+      {"lock-step compose into a window",
+       SeqRef("ibm")
+           .ComposeWith(SeqRef("hp"))
+           .Agg(AggFunc::kAvg, "close", 20)
+           .Build()},
+      {"fig1 query", SeqRef("volcanos")
+                         .ComposeWith(SeqRef("quakes").Prev())
+                         .Select(Gt(Col("strength"), Lit(7.0)))
+                         .Project({"name"})
+                         .Build()},
+      {"selected lock-step input",
+       SeqRef("ibm")
+           .Select(Gt(Col("volume"), Lit(int64_t{50000})))
+           .ComposeWith(SeqRef("hp"))
+           .Build()},
+      {"filtered window", SeqRef("ibm")
+                              .Agg(AggFunc::kAvg, "close", 5, "ma5")
+                              .Select(Gt(Col("ma5"), Lit(100.0)))
+                              .Build()},
+  };
+  for (const auto& [name, graph] : graphs) {
+    Query query;
+    query.graph = graph;
+    RunOptions serial_opts;
+    serial_opts.exec.use_batch = true;
+    serial_opts.profile = true;
+    auto serial = engine_.Run(query, serial_opts);
+    ASSERT_TRUE(serial.ok()) << name << ": " << serial.status().ToString();
+    ASSERT_TRUE(serial->profile.has_value()) << name;
+    for (size_t morsel_size : {size_t{0}, size_t{256}}) {
+      RunOptions par_opts;
+      par_opts.exec.use_batch = true;
+      par_opts.profile = true;
+      par_opts.exec.parallelism = 4;
+      par_opts.exec.morsel_size = morsel_size;
+      auto par = engine_.Run(query, par_opts);
+      const std::string label =
+          name + " [x4, morsel " + std::to_string(morsel_size) + "]";
+      ASSERT_TRUE(par.ok()) << label << ": " << par.status().ToString();
+      ASSERT_TRUE(par->profile.has_value()) << label;
+      ExpectSameRows(*serial, *par, label);
+      if (morsel_size > 0) {
+        EXPECT_TRUE(WentParallel(*par->profile))
+            << label << ": " << ::testing::PrintToString(par->profile->notes);
+      }
+      ExpectSameProfileCounts(*serial->profile->root, *par->profile->root,
+                              label);
+    }
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/engine.h"
 #include "parser/lexer.h"
 #include "parser/parser.h"
@@ -43,6 +46,33 @@ TEST(LexerTest, StringLiteralsAndErrors) {
   EXPECT_EQ((*ok)[2].text, "hello world");
   EXPECT_FALSE(Tokenize("\"unterminated").ok());
   EXPECT_FALSE(Tokenize("x @ y").ok());
+}
+
+TEST(LexerTest, SubnormalDoubleLiteralIsAccepted) {
+  // denorm_min in the fixed notation UnparseQuery writes: 0.(323 zeros)5.
+  const std::string text = "0." + std::string(323, '0') + "5";
+  auto tokens = Tokenize(text);
+  ASSERT_TRUE(tokens.ok()) << tokens.status();
+  EXPECT_EQ((*tokens)[0].kind, TokKind::kDouble);
+  EXPECT_EQ((*tokens)[0].double_value,
+            std::numeric_limits<double>::denorm_min());
+  auto program = ParseSequin("a = select(s, x > " + text + ");");
+  EXPECT_TRUE(program.ok()) << program.status();
+}
+
+TEST(LexerTest, OverflowingLiteralsAreParseErrors) {
+  const std::string huge_double = "1" + std::string(400, '0') + ".0";
+  const std::string huge_int = "1" + std::string(40, '0');
+  for (const std::string& text : {huge_double, huge_int}) {
+    auto tokens = Tokenize(text);
+    ASSERT_FALSE(tokens.ok()) << text;
+    EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+    EXPECT_NE(tokens.status().message().find("out of range"),
+              std::string::npos);
+    auto program = ParseSequin("a = select(s, x > " + text + ");");
+    ASSERT_FALSE(program.ok()) << text;
+    EXPECT_EQ(program.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(LexerTest, TracksLineNumbers) {

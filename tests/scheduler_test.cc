@@ -2,8 +2,8 @@
 // control (slots, bounded queue, timeouts, priorities), FIFO + fair
 // round-robin task dispatch on the shared worker pool, the executor
 // integration (16 concurrent queries never exceed the configured worker
-// count, rows+stats byte-identical to serial), and the ThreadPool::Wait
-// poll-loop fix.
+// count, rows+stats byte-identical to serial), and RunGroup's wait/poll
+// loop (polls while the group is pending, never after it completes).
 //
 // The stress test asserts on QueryScheduler::Global()'s monotone
 // peak_active_workers, so it must be the FIRST test in this binary to run
@@ -23,7 +23,6 @@
 
 #include "core/engine.h"
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "obs/query_registry.h"
 #include "workload/generators.h"
 
@@ -62,31 +61,43 @@ TEST(ValidatedEnvIntTest, AcceptsWholeStringIntegersOnly) {
   unsetenv(kVar);
 }
 
-// --- ThreadPool wait/poll ---------------------------------------------------
+// --- RunGroup wait/poll -----------------------------------------------------
 
-TEST(ThreadPoolTest, WaitWithPollReturnsAndStopsPolling) {
+TEST(QuerySchedulerTest, RunGroupPollsWhilePendingAndStopsAtCompletion) {
+  QueryScheduler sched;
+  sched.SetWorkers(2);
   std::atomic<int> ran{0};
   std::atomic<int> polls{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&ran] {
+  sched.RunGroup(
+      8, /*share_cap=*/2, QueryPriority::kNormal,
+      [&](size_t i) {
+        // Task 0 holds the group open until the waiter has polled a few
+        // times, so polling while tasks are pending is observed, not hoped
+        // for. The deadline only keeps a broken poll loop from hanging.
+        if (i == 0) {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (polls.load() < 3 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         ran.fetch_add(1);
-      });
-    }
-    pool.Wait([&polls] { polls.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 8);
-    const int polls_at_done = polls.load();
-    // The fixed loop re-checks the completion predicate before re-arming:
-    // once pending hit zero the waiter must not keep waking to poll.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(polls.load(), polls_at_done);
+      },
+      [&polls] { polls.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+  const int polls_at_done = polls.load();
+  EXPECT_GE(polls_at_done, 3);
+  // The loop re-checks the completion predicate before re-arming: once
+  // the group is done the waiter returns and never polls again.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(polls.load(), polls_at_done);
 
-    // A second Wait on a drained pool returns immediately, poll or not.
-    pool.Wait([&polls] { polls.fetch_add(1); });
-    pool.Wait();
-  }
+  // An empty group returns immediately without polling.
+  sched.RunGroup(0, 2, QueryPriority::kNormal, [](size_t) {},
+                 [&polls] { polls.fetch_add(1); });
+  EXPECT_EQ(polls.load(), polls_at_done);
 }
 
 // --- dispatch order ---------------------------------------------------------

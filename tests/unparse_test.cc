@@ -75,6 +75,7 @@ TEST(UnparseTest, DoubleLiteralsParseBackBitIdentical) {
                           123456789012345680.0,
                           std::numeric_limits<double>::max(),
                           std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::denorm_min(),
                           0.0};
   for (double d : cases) {
     auto graph = SeqRef("s").Select(Gt(Col("v"), Lit(d))).Build();
