@@ -4,7 +4,10 @@
 // produce identical rows and identical simulated-access counters, so the
 // only thing that differs is real wall time. Workloads: the acceptance
 // chain scan -> select -> project -> trailing-window sum over >= 100k
-// records, and the Fig. 2 scope-chain query.
+// records, the Fig. 2 scope-chain query, and the two positional-join
+// plans: a lock-step compose feeding a window, and the Fig. 1 query, whose
+// stream-probe compose probes an incremental Cache-B previous-record
+// offset.
 //
 // The headline benchmarks consume the answer through the streaming sink
 // (PreparedQuery::Run with RunOptions::sink) — the consumption mode the batch path's
@@ -27,6 +30,22 @@ void RegisterSeries(Engine* engine) {
   options.density = 0.9;
   options.seed = 81;
   SEQ_CHECK(engine->RegisterBase("s", *MakeIntSeries(options)).ok());
+  StockSeriesOptions stock;
+  stock.span = Span::Of(1, kSpanEnd);
+  stock.density = 0.95;
+  stock.seed = 82;
+  SEQ_CHECK(engine->RegisterBase("ibm", *MakeStockSeries(stock)).ok());
+  stock.density = 1.0;
+  stock.seed = 83;
+  SEQ_CHECK(engine->RegisterBase("hp", *MakeStockSeries(stock)).ok());
+  EventSeriesOptions events;
+  events.span = Span::Of(1, kSpanEnd);
+  events.density = 0.3;
+  events.seed = 84;
+  SEQ_CHECK(engine->RegisterBase("quakes", *MakeEarthquakes(events)).ok());
+  events.density = 0.1;
+  events.seed = 85;
+  SEQ_CHECK(engine->RegisterBase("volcanos", *MakeVolcanos(events)).ok());
 }
 
 /// The acceptance-criteria chain: scan -> select -> project -> window agg.
@@ -50,6 +69,24 @@ LogicalOpPtr Fig2Chain(int length) {
     }
   }
   return builder.Build();
+}
+
+/// Join-Strategy-B: the lock-step merge of two stock series into a
+/// 20-wide moving average.
+LogicalOpPtr LockstepAvg() {
+  return SeqRef("ibm")
+      .ComposeWith(SeqRef("hp"))
+      .Agg(AggFunc::kAvg, "close", /*window=*/20, "ma20")
+      .Build();
+}
+
+/// The Fig. 1 query: volcanos streamed, the previous quake probed.
+LogicalOpPtr Fig1Query() {
+  return SeqRef("volcanos")
+      .ComposeWith(SeqRef("quakes").Prev())
+      .Select(Gt(Col("strength"), Lit(7.0)))
+      .Project({"name"})
+      .Build();
 }
 
 /// Order-sensitive fold over an answer row — the "consume the result"
@@ -106,6 +143,11 @@ void CheckParity(Engine* engine, const LogicalOpPtr& query) {
     SEQ_CHECK(tuple->records[i].rec == batch->records[i].rec);
   }
   SEQ_CHECK(tuple_stats.stream_records == batch_stats.stream_records);
+  SEQ_CHECK(tuple_stats.stream_pages == batch_stats.stream_pages);
+  SEQ_CHECK(tuple_stats.probes == batch_stats.probes);
+  SEQ_CHECK(tuple_stats.probe_pages == batch_stats.probe_pages);
+  SEQ_CHECK(tuple_stats.cache_stores == batch_stats.cache_stores);
+  SEQ_CHECK(tuple_stats.cache_hits == batch_stats.cache_hits);
   SEQ_CHECK(tuple_stats.predicate_evals == batch_stats.predicate_evals);
   SEQ_CHECK(tuple_stats.agg_steps == batch_stats.agg_steps);
   SEQ_CHECK(tuple_stats.records_output == batch_stats.records_output);
@@ -219,6 +261,26 @@ void BM_Fig2Chain_Batch(benchmark::State& state) {
           /*use_batch=*/true, Consume::kVisit);
 }
 BENCHMARK(BM_Fig2Chain_Batch)->Arg(5)->Arg(9);
+
+void BM_LockstepAvg_Tuple(benchmark::State& state) {
+  RunPlan(state, LockstepAvg(), /*use_batch=*/false, Consume::kVisit);
+}
+BENCHMARK(BM_LockstepAvg_Tuple);
+
+void BM_LockstepAvg_Batch(benchmark::State& state) {
+  RunPlan(state, LockstepAvg(), /*use_batch=*/true, Consume::kVisit);
+}
+BENCHMARK(BM_LockstepAvg_Batch);
+
+void BM_Fig1ProbedCacheB_Tuple(benchmark::State& state) {
+  RunPlan(state, Fig1Query(), /*use_batch=*/false, Consume::kVisit);
+}
+BENCHMARK(BM_Fig1ProbedCacheB_Tuple);
+
+void BM_Fig1ProbedCacheB_Batch(benchmark::State& state) {
+  RunPlan(state, Fig1Query(), /*use_batch=*/true, Consume::kVisit);
+}
+BENCHMARK(BM_Fig1ProbedCacheB_Batch);
 
 }  // namespace
 }  // namespace seq

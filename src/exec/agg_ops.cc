@@ -18,23 +18,23 @@ constexpr const char* kCacheALabel = "WindowAgg(cache-A)";
 /// still apply cooperatively: the cancel flag is forwarded so a tripped
 /// sibling morsel stops a long fold.
 /// A trailing window folds through WindowState::Slide, exactly as its
-/// drive loop does; a running aggregate through Add.
+/// drive loop does; a running aggregate through Add. The carry is clipped
+/// to end where the morsel starts and is read to its end, so batches feed
+/// the state the same records in the same order as tuples would.
 Status FoldCarry(SeqOp* carry, ExecContext* ctx, WindowState* state,
                  size_t col_index, bool trailing) {
   ExecContext carry_ctx = UnchargedContext(*ctx);
   SEQ_RETURN_IF_ERROR(carry->Open(&carry_ctx));
-  int64_t seen = 0;
-  while (true) {
-    std::optional<PosRecord> r = carry->Next();
-    if (!r.has_value()) break;
-    if (trailing) {
-      state->Slide(r->pos, r->rec[col_index]);
-    } else {
-      state->Add(r->pos, r->rec[col_index], nullptr);
+  RecordBatch batch(256);  // a guard check every 256 rows
+  while (carry->NextBatch(&batch) > 0) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (trailing) {
+        state->Slide(batch.pos(i), batch.rec(i)[col_index]);
+      } else {
+        state->Add(batch.pos(i), batch.rec(i)[col_index], nullptr);
+      }
     }
-    if ((++seen & 0xFF) == 0) {
-      SEQ_RETURN_IF_ERROR(carry_ctx.CheckGuards(0));
-    }
+    SEQ_RETURN_IF_ERROR(carry_ctx.CheckGuards(0));
   }
   carry->Close();
   return carry_ctx.TakeError();

@@ -25,13 +25,14 @@ struct ClipSource {
 /// The last `n` records of `source` at positions before `lo`, in position
 /// order (fewer when the input has fewer). Looks back through windows of
 /// growing length, so the replay is proportional to how far back the n-th
-/// record lies, not to the length of the prefix. Charges nothing.
+/// record lies, not to the length of the prefix. Charges nothing; counts
+/// one exec.lookbacks and the records streamed as exec.lookback_records.
 Result<std::vector<PosRecord>> RecordsBefore(const ClipSource& source,
                                              Position lo, size_t n,
                                              const ExecContext& ctx);
 
 /// Position of the last record of `source` inside `clip`, if any. Charges
-/// nothing.
+/// nothing; counted like RecordsBefore.
 Result<std::optional<Position>> LastPositionIn(const ClipSource& source,
                                                Span clip,
                                                const ExecContext& ctx);

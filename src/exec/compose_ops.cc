@@ -40,15 +40,92 @@ Status ComposeLockstepOp::Open(ExecContext* ctx) {
   done_ = false;
   l_.reset();
   r_.reset();
+  left_in_.Reset();
+  right_in_.Reset();
   start_pending_ = lo_ > kMinPosition;
   if (predicate_ != nullptr) {
     SEQ_ASSIGN_OR_RETURN(
         CompiledExpr compiled,
         CompiledExpr::CompilePredicate(predicate_, *out_schema_));
     compiled_ = std::move(compiled);
+    compiled_->InitScratch(&scratch_);
   }
   SEQ_RETURN_IF_ERROR(left_->Open(ctx));
   return right_->Open(ctx);
+}
+
+size_t ComposeLockstepOp::NextBatch(RecordBatch* out) {
+  // An armed injector counts "the k-th page read" and "the k-th
+  // evaluation" in the tuple merge's interleaved order.
+  if (batch_stop_.has_value() && !ctx_->FaultArmed(FaultSite::kPageRead) &&
+      !ctx_->FaultArmed(FaultSite::kExprEval)) {
+    return MergeBatch(out);
+  }
+  out->Clear();
+  while (!out->full()) {
+    std::optional<PosRecord> r = Advance(nullptr);
+    if (!r.has_value()) break;
+    out->Append(r->pos) = std::move(r->rec);
+  }
+  return out->size();
+}
+
+// The batch merge (see set_batch_stop). An input is finished once it is
+// exhausted or its current record lies past the stop; that record is the
+// overshoot and is never consumed, so the cursor never refills past it.
+// When one input finishes, the other is drained up to its overshoot, as
+// the tuple merge's last seek reads it. Charges match the tuple merge's:
+// one join predicate per positional match, compute per passing row.
+size_t ComposeLockstepOp::MergeBatch(RecordBatch* out) {
+  out->Clear();
+  const size_t cap = out->capacity();
+  const Position stop = *batch_stop_;
+  SeqOp* left = left_.get();
+  SeqOp* right = right_.get();
+  auto live = [&](BatchInput& in, SeqOp* child) {
+    return in.Ready(child, cap, stop) && in.pos() <= stop;
+  };
+  int64_t matches = 0;
+  int64_t passed = 0;
+  while (!out->full() && !ctx_->failed()) {
+    const bool l = live(left_in_, left);
+    const bool r = live(right_in_, right);
+    if (!l || !r) {
+      if (l) {
+        while (live(left_in_, left)) left_in_.Consume();
+      }
+      if (r) {
+        while (live(right_in_, right)) right_in_.Consume();
+      }
+      break;
+    }
+    const Position lp = left_in_.pos();
+    const Position rp = right_in_.pos();
+    if (lp < rp) {
+      left_in_.Consume();
+      continue;
+    }
+    if (rp < lp) {
+      right_in_.Consume();
+      continue;
+    }
+    Record& dst = out->Append(lp);
+    CombineInto(&dst, left_in_.rec(), right_in_.rec());
+    left_in_.Consume();
+    right_in_.Consume();
+    if (compiled_.has_value()) {
+      ++matches;
+      if (!compiled_->EvalBoolFlat(dst, lp, &scratch_)) {
+        out->Truncate(out->size() - 1);
+        continue;
+      }
+    }
+    ++passed;
+  }
+  ctx_->ChargePredicates(/*join=*/true, matches);
+  ctx_->ChargeComputeN(passed);
+  if (ctx_->failed()) return 0;
+  return out->size();
 }
 
 std::optional<PosRecord> ComposeLockstepOp::Advance(

@@ -15,8 +15,13 @@ namespace seq {
 
 /// Join-Strategy-B (§3.3): stream both inputs in lock step, joining at
 /// common positions — the sort-merge analogue from the paper's motivating
-/// example. Uses NextAtOrAfter so dense inputs (value offsets, constants)
-/// are skipped through in O(1). Stream-only.
+/// example. Stream-only. Two merges share the operator:
+///
+///  * the tuple merge (Advance) uses NextAtOrAfter, so dense inputs (value
+///    offsets, constants) are skipped through in O(1);
+///  * the batch merge pulls both inputs through BatchInput cursors. It runs
+///    when the inputs are seek-free (set_batch_stop) and the operator is
+///    batch-driven with no page-read or expression fault armed.
 class ComposeLockstepOp : public SeqOp {
  public:
   ComposeLockstepOp(SeqOpPtr left, SeqOpPtr right, ExprPtr predicate,
@@ -31,19 +36,10 @@ class ComposeLockstepOp : public SeqOp {
   std::optional<PosRecord> NextAtOrAfter(Position p) override {
     return Advance(&p);
   }
-  /// Fills the batch by looping the lock-step merge. The children stay on
-  /// the tuple interface: the merge's NextAtOrAfter skipping is what keeps
-  /// dense inputs O(1), and batching it away would change the access (and
-  /// therefore cost) pattern.
-  size_t NextBatch(RecordBatch* out) override {
-    out->Clear();
-    while (!out->full()) {
-      std::optional<PosRecord> r = Advance(nullptr);
-      if (!r.has_value()) break;
-      out->Append(r->pos) = std::move(r->rec);
-    }
-    return out->size();
-  }
+  /// Batch-merges seek-free inputs (see set_batch_stop); otherwise fills
+  /// the batch by looping the tuple merge, whose children stay on the
+  /// tuple interface.
+  size_t NextBatch(RecordBatch* out) override;
   void Close() override {
     left_->Close();
     right_->Close();
@@ -72,6 +68,18 @@ class ComposeLockstepOp : public SeqOp {
     right_source_ = std::move(right);
   }
 
+  /// Both inputs are seek-free: a base scan under any chain of positional
+  /// offsets, whose NextAtOrAfter reads and charges every record it steps
+  /// over. The tuple merge then reads every record of both inputs up to
+  /// `stop` — the serial merge's stop, the smaller of the two inputs'
+  /// last positions over their serial spans (docs/execution.md, "Where a
+  /// join stops") — plus the first record past it of the longer input.
+  /// The batch merge pulls each input with NextBatchUpTo(stop), whose
+  /// include-overshoot reads exactly that set. A morsel clone reads its
+  /// clipped inputs whole, with no clip-start state to rebuild: the
+  /// clips tile the serial read set.
+  void set_batch_stop(Position stop) { batch_stop_ = stop; }
+
  private:
   // Which input holds the last record before the clip start (kEven:
   // neither, or both at one position); it decides which input the serial
@@ -79,6 +87,7 @@ class ComposeLockstepOp : public SeqOp {
   enum class Lead { kEven, kLeft, kRight };
 
   std::optional<PosRecord> Advance(const Position* at_or_after);
+  size_t MergeBatch(RecordBatch* out);
   // The first pulls of a clone clipped at lo_, as the serial merge makes
   // them; false when the merge ends right there.
   bool StartAtClip();
@@ -94,10 +103,15 @@ class ComposeLockstepOp : public SeqOp {
   SchemaPtr out_schema_;
   std::optional<CompiledExpr> compiled_;
   ExecContext* ctx_ = nullptr;
+  ExprScratch scratch_;
 
   std::optional<PosRecord> l_;
   std::optional<PosRecord> r_;
   bool done_ = false;
+
+  std::optional<Position> batch_stop_;
+  BatchInput left_in_;
+  BatchInput right_in_;
 
   Position lo_ = kMinPosition;
   Position hi_ = kMaxPosition;

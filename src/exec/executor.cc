@@ -126,6 +126,26 @@ bool EndsBeforeSerial(const PhysNode& clone) {
          ClipEdges(clone).end < kMaxPosition;
 }
 
+// The last record position of a seek-free input (a base scan under any
+// chain of positional offsets) over its serial span, found by binary
+// search of the store: kMinPosition when the input is empty, nullopt for
+// any other input.
+std::optional<Position> SeekFreeLastPosition(const Catalog& catalog,
+                                             const PhysNode& input) {
+  int64_t shift = 0;  // out(p) = in(p + shift)
+  const PhysNode* node = &input;
+  while (node->op == OpKind::kPositionalOffset) {
+    shift += node->offset;
+    node = node->children[0].get();
+  }
+  if (node->op != OpKind::kBaseRef) return std::nullopt;
+  Result<const CatalogEntry*> entry = catalog.Lookup(node->seq_name);
+  if (!entry.ok()) return std::nullopt;
+  std::optional<Position> last =
+      (*entry)->store->LastPositionIn(node->required);
+  return last.has_value() ? *last - shift : kMinPosition;
+}
+
 }  // namespace
 
 bool DefaultUseBatch() {
@@ -322,10 +342,18 @@ Result<SeqOpPtr> Executor::BuildCompose(const PhysNode& node,
       SEQ_ASSIGN_OR_RETURN(SeqOpPtr right, Build(node.children[1], prof));
       auto* op = new ComposeLockstepOp(std::move(left), std::move(right),
                                        node.predicate, node.out_schema);
+      const PhysNode& serial =
+          node.morsel_source != nullptr ? *node.morsel_source : node;
+      const std::optional<Position> left_last =
+          SeekFreeLastPosition(catalog_, *serial.children[0]);
+      const std::optional<Position> right_last =
+          SeekFreeLastPosition(catalog_, *serial.children[1]);
+      if (left_last.has_value() && right_last.has_value()) {
+        op->set_batch_stop(std::min(*left_last, *right_last));
+      }
       // A clip outside the compose's range leaves nothing to merge.
       if (node.morsel_source != nullptr && !node.required.IsEmpty()) {
         const Span edges = ClipEdges(node);
-        const PhysNode& serial = *node.morsel_source;
         op->set_boundary(edges.start, edges.end,
                          ClipSourceOf(this, serial.children[0]),
                          ClipSourceOf(this, serial.children[1]));
@@ -941,12 +969,17 @@ ClipSource ClipSourceOf(const Executor* exec, const PhysNodePtr& input) {
                     }};
 }
 
-// Last record position of `input` over its serial span, found by an
-// uncharged look-back from the span end; kMinPosition when it is empty.
+// Last record position of `input` over its serial span, read off the
+// store for a seek-free input and found by an uncharged look-back from the
+// span end otherwise; kMinPosition when it is empty.
 Result<Position> LastPosition(const Executor* exec, const PhysNodePtr& input,
                               const ExecContext& ctx) {
   const Span span = input->required;
   if (span.IsEmpty()) return kMinPosition;
+  if (std::optional<Position> last =
+          SeekFreeLastPosition(*ctx.catalog, *input)) {
+    return *last;
+  }
   if (span.end >= kMaxPosition) return kMaxPosition;
   SEQ_ASSIGN_OR_RETURN(
       std::vector<PosRecord> last,

@@ -1,5 +1,6 @@
 #include "exec/offset_ops.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -16,9 +17,11 @@ Status ValueOffsetOp::Open(ExecContext* ctx) {
   next_pos_ = required_.start;
   child_done_ = false;
   pending_.reset();
-  cache_.clear();
+  head_ = 0;
+  count_ = 0;
   cache_footprint_ = 0;
   input_.Reset();
+  probe_capacity_ = 0;
   last_probe_pos_ = kMinPosition;
   SEQ_RETURN_IF_ERROR(child_->Open(ctx));
   return SeedCarry();
@@ -26,81 +29,123 @@ Status ValueOffsetOp::Open(ExecContext* ctx) {
 
 Status ValueOffsetOp::SeedCarry() {
   if (!carry_source_.has_value()) return Status::OK();
-  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
   SEQ_ASSIGN_OR_RETURN(
       std::vector<PosRecord> carried,
-      RecordsBefore(*carry_source_, carry_before_, magnitude, *ctx_));
+      RecordsBefore(*carry_source_, carry_before_, magnitude_, *ctx_));
   // The carried records occupy cache memory exactly as in the serial run,
   // but their cache stores were charged by the morsel that read them.
   for (PosRecord& r : carried) {
-    cache_.push_back(std::move(r));
-    if (!ChargeCacheEntry()) return ctx_->TakeError();
+    if (!Store(r.pos, r.rec)) return ctx_->TakeError();
   }
   return Status::OK();
 }
 
 void ValueOffsetOp::DrainClip(size_t batch_capacity) {
   finish_at_clip_end_ = false;
-  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
   int64_t stores = 0;
-  auto store = [&](Position pos, Record& rec) {
-    cache_.emplace_back();
-    cache_.back().pos = pos;
-    MoveRecordValues(cache_.back().rec, rec);
+  // Everything left is read, so the batch pull needs no bound.
+  for (std::optional<Head> h = Peek(batch_capacity, kMaxPosition);
+       h.has_value(); h = Peek(batch_capacity, kMaxPosition)) {
     ++stores;
-    if (!ChargeCacheEntry()) return false;
-    if (cache_.size() > magnitude) ReleaseFrontEntry();
-    return true;
-  };
-  if (batch_capacity == 0) {
-    Fill();
-    while (pending_.has_value() && store(pending_->pos, pending_->rec)) {
-      pending_.reset();
-      Fill();
-    }
-  } else {
-    const Position limit = required_.end - 1;  // as NextBatch pulls
-    while (input_.Ready(child_.get(), batch_capacity, limit) &&
-           store(input_.pos(), input_.rec())) {
-      input_.Consume();
-    }
+    if (!Store(h->pos, *h->rec)) break;
+    Pop(batch_capacity);
   }
   ctx_->ChargeCacheStores(stores);
 }
 
 void ValueOffsetOp::PassClipEnd() {
-  if (finish_at_clip_end_) DrainClip(0);
+  if (finish_at_clip_end_) DrainClip(probe_capacity_);
 }
 
-void ValueOffsetOp::Fill() {
-  if (child_done_ || pending_.has_value()) return;
-  pending_ = child_->Next();
-  if (!pending_.has_value()) child_done_ = true;
+std::optional<ValueOffsetOp::Head> ValueOffsetOp::Peek(size_t capacity,
+                                                       Position limit) {
+  if (capacity == 0) {
+    if (!pending_.has_value() && !child_done_) {
+      pending_ = child_->Next();
+      child_done_ = !pending_.has_value();
+    }
+    if (!pending_.has_value()) return std::nullopt;
+    return Head{pending_->pos, &pending_->rec};
+  }
+  if (!input_.Ready(child_.get(), capacity, limit)) return std::nullopt;
+  return Head{input_.pos(), &input_.rec()};
 }
 
-bool ValueOffsetOp::ChargeCacheEntry() {
-  const int64_t b = static_cast<int64_t>(sizeof(Position)) +
-                    ApproxRecordBytes(cache_.back().rec);
-  cache_footprint_ += b;
-  if (!ctx_->AdjustCacheBytes(b)) {
+void ValueOffsetOp::Pop(size_t capacity) {
+  if (capacity == 0) {
+    pending_.reset();
+  } else {
+    input_.Consume();
+  }
+}
+
+bool ValueOffsetOp::Store(Position pos, Record& rec) {
+  const int64_t bytes =
+      static_cast<int64_t>(sizeof(Position)) + ApproxRecordBytes(rec);
+  cache_footprint_ += bytes;
+  if (!ctx_->AdjustCacheBytes(bytes)) {
     ctx_->RaiseCacheBudget(kCacheBLabel);
     return false;
   }
+  if (count_ == magnitude_) ReleaseFront();
+  if (count_ == ring_.size()) {
+    // Grow by one slot, with the entries laid out from index 0 first.
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<ptrdiff_t>(head_),
+                ring_.end());
+    head_ = 0;
+    ring_.emplace_back();
+  }
+  CacheSlot& slot = ring_[RingIndex(count_)];
+  ++count_;
+  slot.pos = pos;
+  MoveRecordValues(slot.rec, rec);
+  slot.bytes = bytes;
   return true;
 }
 
-void ValueOffsetOp::ReleaseFrontEntry() {
-  const int64_t b = static_cast<int64_t>(sizeof(Position)) +
-                    ApproxRecordBytes(cache_.front().rec);
-  cache_footprint_ -= b;
-  ctx_->AdjustCacheBytes(-b);
-  cache_.pop_front();
+void ValueOffsetOp::ReleaseFront() {
+  const int64_t bytes = ring_[head_].bytes;
+  cache_footprint_ -= bytes;
+  ctx_->AdjustCacheBytes(-bytes);
+  head_ = RingIndex(1);
+  --count_;
 }
 
 void ValueOffsetOp::ReleaseAllEntries() {
   ctx_->AdjustCacheBytes(-cache_footprint_);
   cache_footprint_ = 0;
-  cache_.clear();
+  head_ = 0;
+  count_ = 0;
+}
+
+// A previous-record offset consumes every input before p into the recency
+// cache; a next-record offset drops the cached inputs at or before p and
+// looks ahead to the |l|-th input after it. Repeat probes of the same
+// position re-run this with nothing left to consume, so they are
+// idempotent and answer from the cache.
+const Record* ValueOffsetOp::Advance(Position p, size_t capacity,
+                                     Position limit, int64_t* stores) {
+  if (offset_ < 0) {
+    for (std::optional<Head> h = Peek(capacity, limit);
+         h.has_value() && h->pos < p; h = Peek(capacity, limit)) {
+      ++*stores;
+      if (!Store(h->pos, *h->rec)) return nullptr;
+      Pop(capacity);
+    }
+    return count_ == magnitude_ ? &ring_[head_].rec : nullptr;
+  }
+  while (count_ > 0 && ring_[head_].pos <= p) ReleaseFront();
+  while (count_ < magnitude_) {
+    std::optional<Head> h = Peek(capacity, limit);
+    if (!h.has_value()) break;
+    if (h->pos > p) {
+      ++*stores;
+      if (!Store(h->pos, *h->rec)) return nullptr;
+    }
+    Pop(capacity);
+  }
+  return count_ == magnitude_ ? &ring_[RingIndex(magnitude_ - 1)].rec
+                              : nullptr;
 }
 
 std::optional<PosRecord> ValueOffsetOp::Next() {
@@ -113,57 +158,29 @@ std::optional<PosRecord> ValueOffsetOp::NextAtOrAfter(Position p) {
   // Asked past the clip — an empty clip included.
   if (p > required_.end && finish_at_clip_end_) DrainClip(0);
   if (required_.IsEmpty()) return std::nullopt;
-  size_t magnitude = static_cast<size_t>(std::abs(offset_));
-
-  if (offset_ < 0) {
-    while (p <= required_.end && !ctx_->failed()) {
-      // Consume every input strictly before p into the recency cache.
-      Fill();
-      while (pending_.has_value() && pending_->pos < p) {
-        cache_.push_back(std::move(*pending_));
-        ctx_->ChargeCacheStore();
-        if (!ChargeCacheEntry()) return std::nullopt;
-        if (cache_.size() > magnitude) ReleaseFrontEntry();
-        pending_.reset();
-        Fill();
-      }
-      if (cache_.size() == magnitude) {
-        ctx_->ChargeCacheHit();
-        next_pos_ = p + 1;
-        return PosRecord{p, cache_.front().rec};
-      }
-      // Not enough history yet: jump to just after the next input record.
-      if (!pending_.has_value()) return std::nullopt;
-      p = pending_->pos + 1;
-    }
-    // The jump left the clip with input still pending.
-    if (finish_at_clip_end_ && !ctx_->failed()) DrainClip(0);
-    return std::nullopt;
-  }
-
-  // offset_ > 0: out(p) is the offset_-th input strictly after p. Keep a
-  // lookahead buffer of upcoming inputs.
+  int64_t stores = 0;
+  std::optional<PosRecord> out;
   while (p <= required_.end && !ctx_->failed()) {
-    while (!cache_.empty() && cache_.front().pos <= p) ReleaseFrontEntry();
-    while (cache_.size() < magnitude) {
-      Fill();
-      if (!pending_.has_value()) break;
-      if (pending_->pos > p) {
-        cache_.push_back(std::move(*pending_));
-        ctx_->ChargeCacheStore();
-        if (!ChargeCacheEntry()) return std::nullopt;
-      }
-      pending_.reset();
-    }
-    if (cache_.size() >= magnitude) {
-      ctx_->ChargeCacheHit();
+    const Record* r = Advance(p, 0, kMaxPosition, &stores);
+    if (r != nullptr) {
       next_pos_ = p + 1;
-      return PosRecord{p, cache_[magnitude - 1].rec};
+      out = PosRecord{p, *r};
+      break;
     }
-    // Too few inputs remain after p; larger p only makes it worse.
-    return std::nullopt;
+    // Too few inputs remain after p for a next-record offset; a
+    // previous-record one jumps to just after the next input record.
+    std::optional<Head> h;
+    if (offset_ < 0 && !ctx_->failed()) h = Peek(0, kMaxPosition);
+    if (!h.has_value()) break;
+    p = h->pos + 1;
   }
-  return std::nullopt;
+  ctx_->ChargeCacheStores(stores);
+  if (out.has_value()) {
+    ctx_->ChargeCacheHit();
+  } else if (p > required_.end && finish_at_clip_end_ && !ctx_->failed()) {
+    DrainClip(0);  // the jump left the clip with input still pending
+  }
+  return out;
 }
 
 // Batches both sides. The child is pulled through a BatchInput cursor
@@ -173,80 +190,38 @@ std::optional<PosRecord> ValueOffsetOp::NextAtOrAfter(Position p) {
 // therefore every AccessStats counter) is identical in both driving modes.
 size_t ValueOffsetOp::NextBatch(RecordBatch* out) {
   out->Clear();
+  const size_t cap = out->capacity();
   Position p = next_pos_;
   if (p < required_.start) p = required_.start;
   // Asked past the clip — an empty clip included.
-  if (p > required_.end && finish_at_clip_end_) DrainClip(out->capacity());
+  if (p > required_.end && finish_at_clip_end_) DrainClip(cap);
   if (required_.IsEmpty()) return 0;
-  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
-  const size_t cap = out->capacity();
+  // A previous-record offset consumes the inputs strictly before
+  // required_.end plus one look-ahead record at or past it: limit end - 1
+  // gives the same. A next-record offset consumes the inputs through end
+  // plus |l| past it: past the limit the bounded pull degrades to one
+  // record per refill, so the look-ahead stops at the same input record.
+  const Position limit = offset_ < 0 ? required_.end - 1 : required_.end;
   int64_t stores = 0;
-
-  if (offset_ < 0) {
-    // The tuple path consumes inputs strictly before required_.end plus
-    // one look-ahead record at/past it; limit = end - 1 gives the same.
-    const Position limit = required_.end - 1;
-    while (!out->full() && p <= required_.end) {
-      if (ctx_->failed()) break;
-      bool have = input_.Ready(child_.get(), cap, limit);
-      while (have && input_.pos() < p) {
-        cache_.emplace_back();
-        PosRecord& slot = cache_.back();
-        slot.pos = input_.pos();
-        MoveRecordValues(slot.rec, input_.rec());
-        ++stores;
-        if (!ChargeCacheEntry()) break;
-        if (cache_.size() > magnitude) ReleaseFrontEntry();
-        input_.Consume();
-        have = input_.Ready(child_.get(), cap, limit);
-      }
-      if (ctx_->failed()) break;
-      if (cache_.size() == magnitude) {
-        AssignRecord(out->Append(p), cache_.front().rec);
-        ++p;
-        continue;
-      }
-      if (!have) break;
-      p = input_.pos() + 1;
+  while (!out->full() && p <= required_.end && !ctx_->failed()) {
+    const Record* r = Advance(p, cap, limit, &stores);
+    if (r != nullptr) {
+      AssignRecord(out->Append(p), *r);
+      ++p;
+      continue;
     }
-    next_pos_ = p;
-    // An empty batch ends the stream: a jump that left the clip with input
-    // still pending consumes it now.
-    if (out->empty() && p > required_.end && finish_at_clip_end_ &&
-        !ctx_->failed()) {
-      DrainClip(cap);
-    }
-    ctx_->ChargeCacheStores(stores);
-    ctx_->ChargeCacheHits(static_cast<int64_t>(out->size()));
-    return out->size();
-  }
-
-  // offset_ > 0: the look-ahead consumes inputs at positions <= end plus
-  // exactly `magnitude` records past it — past the limit the bounded pull
-  // degrades to one record per refill, so the look-ahead stops at the same
-  // input record as the tuple path.
-  const Position limit = required_.end;
-  while (!out->full() && p <= required_.end) {
-    if (ctx_->failed()) break;
-    while (!cache_.empty() && cache_.front().pos <= p) ReleaseFrontEntry();
-    while (cache_.size() < magnitude) {
-      if (!input_.Ready(child_.get(), cap, limit)) break;
-      if (input_.pos() > p) {
-        cache_.emplace_back();
-        PosRecord& slot = cache_.back();
-        slot.pos = input_.pos();
-        MoveRecordValues(slot.rec, input_.rec());
-        ++stores;
-        if (!ChargeCacheEntry()) break;
-      }
-      input_.Consume();
-    }
-    if (ctx_->failed()) break;
-    if (cache_.size() < magnitude) break;
-    AssignRecord(out->Append(p), cache_[magnitude - 1].rec);
-    ++p;
+    std::optional<Head> h;
+    if (offset_ < 0 && !ctx_->failed()) h = Peek(cap, limit);
+    if (!h.has_value()) break;
+    p = h->pos + 1;
   }
   next_pos_ = p;
+  // An empty batch ends the stream: a jump that left the clip with input
+  // still pending consumes it now.
+  if (out->empty() && p > required_.end && finish_at_clip_end_ &&
+      !ctx_->failed()) {
+    DrainClip(cap);
+  }
   ctx_->ChargeCacheStores(stores);
   ctx_->ChargeCacheHits(static_cast<int64_t>(out->size()));
   return out->size();
@@ -265,55 +240,27 @@ void ValueOffsetOp::RewindProbes() {
   if (!reopened.ok()) ctx_->Raise(std::move(reopened));
   pending_.reset();
   child_done_ = false;
+  input_.Reset();
   ReleaseAllEntries();
   last_probe_pos_ = kMinPosition;
   Status seeded = SeedCarry();
   if (!seeded.ok()) ctx_->Raise(std::move(seeded));
 }
 
-const Record* ValueOffsetOp::ProbeStep(Position p, int64_t* stores) {
+const Record* ValueOffsetOp::ProbeStep(Position p, size_t capacity,
+                                       Position limit, int64_t* stores) {
   if (ctx_->failed()) return nullptr;
   if (p < last_probe_pos_) {
     RewindProbes();
     if (ctx_->failed()) return nullptr;
   }
   last_probe_pos_ = p;
-  const size_t magnitude = static_cast<size_t>(std::abs(offset_));
-
-  if (offset_ < 0) {
-    Fill();
-    while (pending_.has_value() && pending_->pos < p) {
-      cache_.push_back(std::move(*pending_));
-      ++*stores;
-      if (!ChargeCacheEntry()) return nullptr;
-      if (cache_.size() > magnitude) ReleaseFrontEntry();
-      pending_.reset();
-      Fill();
-    }
-    // Repeat probes of the same position re-run this advance with nothing
-    // left to consume, so they are idempotent and answer from the cache.
-    if (cache_.size() < magnitude) return nullptr;
-    return &cache_.front().rec;
-  }
-
-  while (!cache_.empty() && cache_.front().pos <= p) ReleaseFrontEntry();
-  while (cache_.size() < magnitude) {
-    Fill();
-    if (!pending_.has_value()) break;
-    if (pending_->pos > p) {
-      cache_.push_back(std::move(*pending_));
-      ++*stores;
-      if (!ChargeCacheEntry()) return nullptr;
-    }
-    pending_.reset();
-  }
-  if (cache_.size() < magnitude) return nullptr;
-  return &cache_[magnitude - 1].rec;
+  return Advance(p, capacity, limit, stores);
 }
 
 std::optional<Record> ValueOffsetOp::Probe(Position p) {
   int64_t stores = 0;
-  const Record* r = ProbeStep(p, &stores);
+  const Record* r = ProbeStep(p, 0, kMaxPosition, &stores);
   ctx_->ChargeCacheStores(stores);
   if (r == nullptr) return std::nullopt;
   ctx_->ChargeCacheHit();
@@ -323,9 +270,16 @@ std::optional<Record> ValueOffsetOp::Probe(Position p) {
 size_t ValueOffsetOp::ProbeBatch(std::span<const Position> positions,
                                  RecordBatch* out) {
   out->Clear();
+  if (positions.empty()) return 0;
+  probe_capacity_ = out->capacity();
+  // The union of the batch's tuple probes' read sets: a previous-record
+  // offset reads the inputs before the last position plus one look-ahead
+  // record, a next-record offset the inputs through it plus |l| past it.
+  const Position last = positions.back();
+  const Position limit = offset_ < 0 && last > kMinPosition ? last - 1 : last;
   int64_t stores = 0;
   for (Position p : positions) {
-    const Record* r = ProbeStep(p, &stores);
+    const Record* r = ProbeStep(p, probe_capacity_, limit, &stores);
     if (ctx_->failed()) break;
     if (r != nullptr) AssignRecord(out->Append(p), *r);
   }

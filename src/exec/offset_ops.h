@@ -1,10 +1,10 @@
 #ifndef SEQ_EXEC_OFFSET_OPS_H_
 #define SEQ_EXEC_OFFSET_OPS_H_
 
-#include <deque>
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "exec/clip_source.h"
 #include "exec/operator.h"
@@ -24,16 +24,27 @@ namespace seq {
 ///    over-read relative to the tuple path (AccessStats parity);
 ///  * probed mode serves monotone non-decreasing probes — the §4.2 probed
 ///    discipline the executor drives (positions are validated ascending).
-///    The child is consumed incrementally as probes advance; a regressing
+///    The child is consumed incrementally as probes advance. Probe pulls
+///    it a record at a time; ProbeBatch pulls it through a BatchInput
+///    cursor bounded at the batch's last position (minus one for a
+///    previous-record offset): the union of the read sets of the batch's
+///    tuple probes, so both drivings read the same records. A regressing
 ///    probe (a non-monotone consumer the planner failed to detect) is
-///    handled defensively by rewinding the child, identically in both
-///    driving modes.
+///    handled defensively by rewinding the child and the cursor,
+///    identically in both driving modes.
+///
+/// The cache is a ring of at most |l| slots whose record buffers are
+/// reused, so steady-state ingestion allocates nothing; each slot keeps
+/// the bytes it charged against QueryGuards::max_cache_bytes.
 class ValueOffsetOp : public SeqOp {
  public:
   /// `offset` < 0: |offset|-th most recent input strictly before i;
   /// `offset` > 0: offset-th next input strictly after i.
   ValueOffsetOp(SeqOpPtr child, int64_t offset, Span required)
-      : child_(std::move(child)), offset_(offset), required_(required) {}
+      : child_(std::move(child)),
+        offset_(offset),
+        magnitude_(static_cast<size_t>(offset < 0 ? -offset : offset)),
+        required_(required) {}
 
   Status Open(ExecContext* ctx) override;
   std::optional<PosRecord> Next() override;
@@ -69,37 +80,66 @@ class ValueOffsetOp : public SeqOp {
   }
 
  private:
+  struct CacheSlot {
+    Position pos = 0;
+    Record rec;
+    int64_t bytes = 0;  // charged against the cache-memory budget
+  };
+  // The child's next unconsumed record.
+  struct Head {
+    Position pos;
+    Record* rec;
+  };
+
   // Seeds the cache from carry_source_ (see set_morsel).
   Status SeedCarry();
   // Consumes the rest of the clipped child into the cache; batch_capacity
   // 0 means the child is pulled tuple-at-a-time.
   void DrainClip(size_t batch_capacity);
-  // Pulls the child's next record into pending_ if empty.
-  void Fill();
-  // Advances the incremental state to probe position `p` and returns the
-  // answer record (owned by cache_), or nullptr. Counts cache stores into
-  // *stores; the caller charges stores and the hit.
-  const Record* ProbeStep(Position p, int64_t* stores);
+  // The child's next unconsumed record, pulled tuple-at-a-time into
+  // pending_ (capacity 0) or through input_ bounded at `limit`; Pop
+  // consumes it.
+  std::optional<Head> Peek(size_t capacity, Position limit);
+  void Pop(size_t capacity);
+  // Advances the incremental state to output position `p`, pulling the
+  // child as Peek does, and returns the answer record (owned by the
+  // cache), or nullptr. Counts cache stores into *stores; the caller
+  // charges stores and the hit.
+  const Record* Advance(Position p, size_t capacity, Position limit,
+                        int64_t* stores);
+  // Advance for a probe: rewinds first when `p` regressed.
+  const Record* ProbeStep(Position p, size_t capacity, Position limit,
+                          int64_t* stores);
   // Defensive restart for a regressed probe position.
   void RewindProbes();
-  // Cache-memory accounting against QueryGuards::max_cache_bytes: charges
-  // the just-pushed back() entry (false = budget exceeded, degradation
-  // signal raised), releases the front() entry before eviction.
-  bool ChargeCacheEntry();
-  void ReleaseFrontEntry();
+  // Moves `rec` into the back of the cache, recycling the oldest slot
+  // when |l| are held. The new entry is charged against
+  // QueryGuards::max_cache_bytes before the recycled one is released;
+  // false = budget exceeded, degradation signal raised.
+  bool Store(Position pos, Record& rec);
+  size_t RingIndex(size_t k) const {  // of the k-th oldest entry
+    const size_t i = head_ + k;
+    return i < ring_.size() ? i : i - ring_.size();
+  }
+  void ReleaseFront();
   void ReleaseAllEntries();
 
   SeqOpPtr child_;
   int64_t offset_;
+  size_t magnitude_;  // |l|
   Span required_;
   ExecContext* ctx_ = nullptr;
 
   std::optional<PosRecord> pending_;  // next unconsumed child record
   bool child_done_ = false;
-  std::deque<PosRecord> cache_;  // last |l| consumed (l<0) / lookahead (l>0)
-  int64_t cache_footprint_ = 0;  // approx bytes charged for cache_
+  // Last |l| consumed (l<0) / lookahead (l>0): count_ entries from head_.
+  std::vector<CacheSlot> ring_;
+  size_t head_ = 0;
+  size_t count_ = 0;
+  int64_t cache_footprint_ = 0;  // approx bytes charged for the cache
   Position next_pos_ = 0;        // next output position to consider
-  BatchInput input_;             // batched child pull (stream NextBatch)
+  BatchInput input_;             // batched child pull (NextBatch, ProbeBatch)
+  size_t probe_capacity_ = 0;    // ProbeBatch's capacity; 0 = Probe-driven
   Position last_probe_pos_ = kMinPosition;
   std::optional<ClipSource> carry_source_;
   Position carry_before_ = kMinPosition;

@@ -165,14 +165,24 @@ class BatchInput {
     if (batch_ != nullptr) batch_->Clear();
     idx_ = 0;
     done_ = false;
+    limit_ = kMinPosition;
   }
 
   /// Ensures a current row exists; false once the child is exhausted.
   /// When `limit` is bounded the refill uses NextBatchUpTo(limit), so the
   /// child is never pulled more than one record past `limit` — the same
-  /// over-read a tuple consumer of this cursor would incur. A cursor must
-  /// be driven with the same `limit` for its whole lifetime.
+  /// over-read a tuple consumer of this cursor would incur.
+  ///
+  /// Limits must be non-decreasing over the cursor's lifetime (until
+  /// Reset). That keeps the bound exact: a refill at a raised limit reads
+  /// the records up to it plus one overshoot, so the records read after
+  /// any sequence of calls are those up to the latest limit plus the first
+  /// one past it — what a tuple consumer reads pulling until it sees a
+  /// position past that limit. A lowered limit would make a refill past
+  /// the old overshoot read one record the tuple consumer never reads.
   bool Ready(SeqOp* child, size_t capacity, Position limit = kMaxPosition) {
+    SEQ_DCHECK(limit >= limit_);
+    limit_ = limit;
     if (batch_ != nullptr && idx_ < batch_->size()) return true;
     if (done_) return false;
     if (batch_ == nullptr) batch_ = std::make_unique<RecordBatch>(capacity);
@@ -192,6 +202,7 @@ class BatchInput {
   std::unique_ptr<RecordBatch> batch_;
   size_t idx_ = 0;
   bool done_ = false;
+  Position limit_ = kMinPosition;  // latest limit, for the DCHECK above
 };
 
 }  // namespace seq

@@ -585,6 +585,45 @@ PhysNodePtr MakeRenameProject(const PhysNodePtr& child,
   return node;
 }
 
+/// Renames `plan`'s output fields positionally to `schema`'s. The plan is a
+/// join, or a Select over one (a maskless predicate), and both pass records
+/// through positionally: only the top schema changes, and the predicates,
+/// which compile against that field list, are rewritten to the new names.
+PhysNodePtr WithNames(const PhysNodePtr& plan, const SchemaPtr& schema) {
+  SEQ_CHECK(plan->op == OpKind::kCompose || plan->op == OpKind::kSelect);
+  auto node = std::make_shared<PhysNode>(*plan);
+  if (plan->predicate != nullptr) {
+    std::map<std::pair<int, std::string>, std::pair<int, std::string>> remap;
+    for (size_t k = 0; k < schema->num_fields(); ++k) {
+      remap[{0, plan->out_schema->field(k).name}] = {0, schema->field(k).name};
+    }
+    node->predicate = plan->predicate->RemapColumns(remap);
+  }
+  if (plan->op == OpKind::kSelect) {
+    node->children[0] = WithNames(plan->children[0], schema);
+  }
+  node->out_schema = schema;
+  return node;
+}
+
+/// The block's output plan under the compose's own names: when the join
+/// order kept the fields in the compose's order, the names go on the top
+/// node's schema and no operator is needed; otherwise a Project reorders
+/// the fields.
+PhysNodePtr RestoreNames(const PhysNodePtr& plan,
+                         const std::vector<std::string>& columns,
+                         const std::vector<std::string>& renames,
+                         const SchemaPtr& out_schema, double density,
+                         double cost) {
+  for (size_t k = 0; k < columns.size(); ++k) {
+    if (plan->out_schema->field(k).name != columns[k]) {
+      return MakeRenameProject(plan, columns, renames, out_schema, density,
+                               cost);
+    }
+  }
+  return WithNames(plan, out_schema);
+}
+
 }  // namespace
 
 Result<PlannedSeq> Planner::PlanComposeBlock(const LogicalOp& op) {
@@ -601,19 +640,19 @@ Result<PlannedSeq> Planner::PlanComposeBlock(const LogicalOp& op) {
   SEQ_RETURN_IF_ERROR(
       RequireBoundedLength(op.meta().required, "compose block").status());
 
-  // Plan each item, then rename its fields to block-unique names so join
-  // order cannot create name clashes.
+  // Plan each item and give its fields block-unique names so join order
+  // cannot create name clashes. The names live on the joins' schemas only:
+  // records are positional, so the items' plans are used as they are.
   std::vector<bool> applied_at_unit(preds.size(), false);
   std::vector<Cand> unit(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     SEQ_ASSIGN_OR_RETURN(PlannedSeq item, Plan(*items[i]));
-    std::vector<std::string> columns;
-    std::vector<std::string> renames;
+    std::map<std::pair<int, std::string>, std::pair<int, std::string>>
+        to_item_names;
     std::vector<Field> fields;
     for (const Field& f : item.schema->fields()) {
-      columns.push_back(f.name);
-      renames.push_back(UniqueFieldName(i, f.name));
-      fields.push_back(Field{renames.back(), f.type});
+      fields.push_back(Field{UniqueFieldName(i, f.name), f.type});
+      to_item_names[{0, fields.back().name}] = {0, f.name};
     }
     SchemaPtr renamed = Schema::Make(std::move(fields));
     Cand& cand = unit[static_cast<size_t>(i)];
@@ -622,14 +661,10 @@ Result<PlannedSeq> Planner::PlanComposeBlock(const LogicalOp& op) {
     cand.single_source = item.single_source;
     cand.stream_cost = item.stream_cost;
     cand.stream_schema = renamed;
-    cand.stream_plan = MakeRenameProject(item.stream_plan, columns, renames,
-                                         renamed, item.density,
-                                         item.stream_cost);
+    cand.stream_plan = item.stream_plan;
     cand.probed_cost = item.probed_cost;
     cand.probed_schema = renamed;
-    cand.probed_plan = MakeRenameProject(item.probed_plan, columns, renames,
-                                         renamed, item.density,
-                                         item.probed_cost);
+    cand.probed_plan = item.probed_plan;
     // Apply single-item predicates (possible when the user attached a
     // one-sided predicate directly to a compose) as selections here —
     // except on dense derived items (value offsets, non-trailing
@@ -650,12 +685,14 @@ Result<PlannedSeq> Planner::PlanComposeBlock(const LogicalOp& op) {
       double sel = EstimateSelectivity(pred, nullptr, params_);
       double eval = cand.ToAccessEst().Records() *
                     params_.select_predicate_cost;
+      // The Select runs over the item's own field names.
+      ExprPtr item_pred = pred->RemapColumns(to_item_names);
       for (AccessMode mode : {AccessMode::kStream, AccessMode::kProbed}) {
         auto node = std::make_shared<PhysNode>();
         node->op = OpKind::kSelect;
         node->mode = mode;
-        node->predicate = pred;
-        node->out_schema = renamed;
+        node->predicate = item_pred;
+        node->out_schema = item.schema;
         node->required = cand.required;
         node->est_density = cand.density * sel;
         if (mode == AccessMode::kStream) {
@@ -889,11 +926,11 @@ Result<PlannedSeq> Planner::PlanComposeBlock(const LogicalOp& op) {
   out.stream_cost = final_cand.stream_cost;
   out.probed_cost = final_cand.probed_cost;
   out.stream_plan =
-      MakeRenameProject(final_cand.stream_plan, columns, renames,
-                        op.meta().schema, out.density, out.stream_cost);
+      RestoreNames(final_cand.stream_plan, columns, renames,
+                   op.meta().schema, out.density, out.stream_cost);
   out.probed_plan =
-      MakeRenameProject(final_cand.probed_plan, columns, renames,
-                        op.meta().schema, out.density, out.probed_cost);
+      RestoreNames(final_cand.probed_plan, columns, renames,
+                   op.meta().schema, out.density, out.probed_cost);
   return out;
 }
 

@@ -215,6 +215,14 @@ std::optional<Record> BaseSequenceStore::Probe(Position pos,
   return std::nullopt;
 }
 
+std::optional<Position> BaseSequenceStore::LastPositionIn(Span range) const {
+  const Span effective = range.Intersect(span_);
+  if (effective.IsEmpty()) return std::nullopt;
+  const size_t end = LowerBound(effective.end + 1);
+  if (end == 0 || records_[end - 1].pos < effective.start) return std::nullopt;
+  return records_[end - 1].pos;
+}
+
 std::string BaseSequenceStore::DescribeMeta() const {
   std::ostringstream oss;
   oss << "span=" << span_.ToString() << " records=" << num_records()

@@ -135,6 +135,11 @@ class BaseSequenceStore {
   /// position is empty or outside the span.
   std::optional<Record> Probe(Position pos, AccessStats* stats) const;
 
+  /// Position of the last record inside `range` (what a stream over
+  /// `range` would deliver last), found by binary search and charging
+  /// nothing; nullopt when the range holds no record.
+  std::optional<Position> LastPositionIn(Span range) const;
+
   /// Direct (uncharged) access for tests and result comparison.
   const std::vector<PosRecord>& records() const { return records_; }
 

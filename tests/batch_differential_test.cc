@@ -16,6 +16,8 @@
 
 #include "core/engine.h"
 #include "exec/checkpoint.h"
+#include "exec/offset_ops.h"
+#include "exec/scan_ops.h"
 #include "workload/generators.h"
 
 namespace seq {
@@ -721,6 +723,297 @@ TEST_F(BatchDifferentialTest, PageBudgetTripParity) {
       ASSERT_EQ(sres.ok(), pres.ok()) << label;
       if (!sres.ok()) {
         EXPECT_EQ(sres.status().ToString(), pres.status().ToString()) << label;
+      }
+    }
+  }
+}
+
+/// Positional-join parity matrix: tuple driving is the baseline; batch
+/// driving at capacities 1, 7 and 1024, 4 workers over automatic and
+/// 32-position morsels, and checkpointed runs (serial and 4 workers, both
+/// drivings) must reproduce its rows and every AccessStats counter.
+void RunJoinMatrix(Engine& engine, const QueryBuilder& builder,
+                   std::optional<Span> range, const std::string& label) {
+  Query query;
+  query.graph = builder.Build();
+  query.range = range;
+  RunOptions tuple_opts;
+  tuple_opts.exec.use_batch = false;
+  tuple_opts.exec.parallelism = 1;
+  AccessStats tuple_stats;
+  tuple_opts.stats = &tuple_stats;
+  auto tuple = engine.Run(query, tuple_opts);
+  ASSERT_TRUE(tuple.ok()) << label << ": " << tuple.status().ToString();
+
+  struct Config {
+    std::string name;
+    RunOptions opts;
+  };
+  std::vector<Config> configs;
+  for (size_t capacity : {size_t{1}, size_t{7}, size_t{1024}}) {
+    RunOptions opts;
+    opts.exec.use_batch = true;
+    opts.exec.parallelism = 1;
+    opts.exec.batch_capacity = capacity;
+    configs.push_back({"batch cap " + std::to_string(capacity), opts});
+  }
+  for (size_t morsel : {size_t{0}, size_t{32}}) {
+    RunOptions opts;
+    opts.exec.use_batch = true;
+    opts.exec.parallelism = 4;
+    opts.exec.morsel_size = morsel;
+    configs.push_back({"x4 morsel " + std::to_string(morsel), opts});
+  }
+  const std::string path = ::testing::TempDir() + "batch_diff_join.ckpt";
+  for (bool use_batch : {true, false}) {
+    for (int workers : {1, 4}) {
+      RunOptions opts;
+      opts.exec.use_batch = use_batch;
+      opts.exec.parallelism = workers;
+      if (workers > 1) opts.exec.morsel_size = 32;
+      opts.exec.checkpoint.enabled = true;
+      opts.exec.checkpoint.chunk = 96;
+      opts.exec.checkpoint.path = path;
+      configs.push_back({std::string("checkpointed ") +
+                             (use_batch ? "batch" : "tuple") + " x" +
+                             std::to_string(workers),
+                         opts});
+    }
+  }
+  for (Config& config : configs) {
+    const std::string clabel = label + " [" + config.name + "]";
+    AccessStats stats;
+    config.opts.stats = &stats;
+    auto run = engine.Run(query, config.opts);
+    ASSERT_TRUE(run.ok()) << clabel << ": " << run.status().ToString();
+    ExpectSameRows(*tuple, *run, clabel);
+    ExpectSameStats(tuple_stats, stats, clabel);
+  }
+  std::remove(path.c_str());
+}
+
+/// Registers the lock-step fixtures: "a" dense over [1, 1000]; "early"
+/// ending at 600; "late" starting at 200 and ending with "a"; "gappy" with
+/// gaps of 2 to 5 positions; "none", declared over [1, 1000] but empty.
+void RegisterJoinInputs(Engine& engine) {
+  auto series = [&](const std::string& name, const std::string& column,
+                    Span span, double density, uint64_t seed) {
+    IntSeriesOptions o;
+    o.span = span;
+    o.density = density;
+    o.seed = seed;
+    o.column = column;
+    ASSERT_TRUE(engine.RegisterBase(name, *MakeIntSeries(o)).ok()) << name;
+  };
+  series("a", "value", Span::Of(1, 1000), 1.0, 51);
+  series("early", "e", Span::Of(1, 600), 0.9, 52);
+  series("late", "l", Span::Of(200, 1000), 1.0, 53);
+  SchemaPtr schema = Schema::Make({Field{"g", TypeId::kInt64}});
+  std::vector<PosRecord> gappy;
+  const int64_t steps[] = {3, 2, 4, 5};
+  for (Position p = 1, k = 0; p <= 990; p += steps[k++ % 4]) {
+    gappy.push_back(PosRecord{p, Record{Value::Int64(p * 7 % 1000)}});
+  }
+  auto g = BaseSequenceStore::FromRecords(schema, std::move(gappy));
+  ASSERT_TRUE(g.ok());
+  ASSERT_TRUE(engine.RegisterBase("gappy", *g).ok());
+  auto none = BaseSequenceStore::FromRecords(
+      Schema::Make({Field{"n", TypeId::kInt64}}), {});
+  ASSERT_TRUE(none.ok());
+  ASSERT_TRUE((*none)->DeclareSpan(Span::Of(1, 1000)).ok());
+  ASSERT_TRUE(engine.RegisterBase("none", *none).ok());
+}
+
+TEST_F(BatchDifferentialTest, LockstepMergeParityMatrix) {
+  RegisterJoinInputs(engine_);
+  ASSERT_TRUE(engine_
+                  .RegisterConstant("k", Schema::Make({Field{"k", TypeId::kInt64}}),
+                                    Record{Value::Int64(5)})
+                  .ok());
+  RunJoinMatrix(engine_, SeqRef("a").ComposeWith(SeqRef("early")),
+                std::nullopt, "right input ends early");
+  RunJoinMatrix(engine_, SeqRef("early").ComposeWith(SeqRef("a")),
+                std::nullopt, "left input ends early");
+  RunJoinMatrix(engine_, SeqRef("a").ComposeWith(SeqRef("late")),
+                std::nullopt, "equal last positions");
+  RunJoinMatrix(engine_, SeqRef("a").ComposeWith(SeqRef("none")),
+                std::nullopt, "empty input");
+  RunJoinMatrix(engine_, SeqRef("gappy").ComposeWith(SeqRef("early")),
+                std::nullopt, "gaps of two or more");
+  RunJoinMatrix(engine_, SeqRef("s").ComposeWith(SeqRef("sp")),
+                std::nullopt, "unequal densities");
+  RunJoinMatrix(engine_,
+                SeqRef("a").ComposeWith(SeqRef("gappy"),
+                                        Gt(Col("value", 0), Col("g", 1))),
+                std::nullopt, "join predicate");
+  RunJoinMatrix(engine_,
+                SeqRef("a").ComposeWith(SeqRef("gappy"),
+                                        Gt(Col("g", 1), Lit(int64_t{500}))),
+                std::nullopt, "one-sided predicate");
+  RunJoinMatrix(engine_,
+                SeqRef("ibm").ComposeWith(SeqRef("ibm").Offset(-1)),
+                std::nullopt, "ibm with its previous position");
+  RunJoinMatrix(engine_,
+                SeqRef("a").Offset(3).ComposeWith(SeqRef("gappy").Offset(-2)),
+                Span::Of(10, 900), "offset chains, clipped range");
+  RunJoinMatrix(engine_,
+                SeqRef("ibm").ComposeWith(SeqRef("s")).Agg(AggFunc::kAvg,
+                                                           "close", 20),
+                std::nullopt, "lock-step compose into a window");
+  // Inputs whose seeks skip records stay on the tuple merge.
+  RunJoinMatrix(engine_,
+                SeqRef("a").ComposeWith(
+                    SeqRef("s").Select(Gt(Col("value"), Lit(int64_t{300})))),
+                std::nullopt, "select input");
+  RunJoinMatrix(engine_, SeqRef("gappy").ComposeWith(SeqRef("early").Prev()),
+                std::nullopt, "previous-record input");
+  RunJoinMatrix(engine_, SeqRef("early").ComposeWith(ConstRef("k")),
+                std::nullopt, "constant input");
+}
+
+/// The first node of a profile tree (depth first) whose label starts with
+/// `prefix`, or null.
+const OperatorProfile* FindProfile(const OperatorProfile& node,
+                                   const std::string& prefix) {
+  if (node.label.rfind(prefix, 0) == 0) return &node;
+  for (const auto& child : node.children) {
+    if (const OperatorProfile* hit = FindProfile(*child, prefix)) return hit;
+  }
+  return nullptr;
+}
+
+TEST_F(BatchDifferentialTest, ProbedCacheBParity) {
+  // Value offsets as the probed side of a stream-probe compose: the probed
+  // offset pulls its child in batches under batch driving.
+  const std::vector<std::pair<std::string, QueryBuilder>> shapes = {
+      {"previous quake", SeqRef("volcanos").ComposeWith(SeqRef("quakes").Prev())},
+      {"third previous quake",
+       SeqRef("volcanos").ComposeWith(SeqRef("quakes").ValueOffset(-3))},
+      {"second next quake",
+       SeqRef("volcanos").ComposeWith(SeqRef("quakes").ValueOffset(2))},
+      {"fig1 query", SeqRef("volcanos")
+                         .ComposeWith(SeqRef("quakes").Prev())
+                         .Select(Gt(Col("strength"), Lit(7.0)))
+                         .Project({"name"})},
+  };
+  for (const auto& [name, builder] : shapes) {
+    Query query;
+    query.graph = builder.Build();
+    RunOptions opts;
+    opts.exec.use_batch = true;
+    opts.profile = true;
+    auto run = engine_.Run(query, opts);
+    ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
+    ASSERT_TRUE(run->profile.has_value());
+    const OperatorProfile* compose =
+        FindProfile(*run->profile->root, "Compose [stream, A:");
+    ASSERT_NE(compose, nullptr) << name << " is not a stream-probe compose";
+    RunJoinMatrix(engine_, builder, std::nullopt, name);
+  }
+}
+
+TEST_F(BatchDifferentialTest, RegressingProbeRewindsTheBatchCursor) {
+  // A consumer that probes backwards makes the Cache-B offset restart its
+  // child: Probe and ProbeBatch driving must read and answer the same.
+  auto entry = engine_.catalog().Lookup("sp");
+  ASSERT_TRUE(entry.ok());
+  const BaseSequenceStore* store = (*entry)->store.get();
+  const Span span = store->span();
+  const std::vector<std::vector<Position>> batches = {
+      {5, 40, 41, 300}, {120, 121, 900}, {900, 2500}, {30, 31}, {3999}};
+  for (int64_t offset : {-1, -3, 2}) {
+    auto make = [&] {
+      return ValueOffsetOp(std::make_unique<BaseScan>(store, span), offset,
+                           span);
+    };
+    AccessStats tuple_stats;
+    ExecContext tuple_ctx;
+    tuple_ctx.stats = &tuple_stats;
+    ValueOffsetOp tuple_op = make();
+    ASSERT_TRUE(tuple_op.Open(&tuple_ctx).ok());
+    std::vector<PosRecord> tuple_rows;
+    for (const auto& batch : batches) {
+      for (Position p : batch) {
+        std::optional<Record> r = tuple_op.Probe(p);
+        if (r.has_value()) tuple_rows.push_back(PosRecord{p, *r});
+      }
+    }
+    for (size_t capacity : {size_t{1024}, size_t{4}}) {
+      const std::string label = "offset " + std::to_string(offset) +
+                                " cap " + std::to_string(capacity);
+      AccessStats batch_stats;
+      ExecContext batch_ctx;
+      batch_ctx.stats = &batch_stats;
+      ValueOffsetOp batch_op = make();
+      ASSERT_TRUE(batch_op.Open(&batch_ctx).ok());
+      std::vector<PosRecord> batch_rows;
+      RecordBatch out(capacity);
+      for (const auto& batch : batches) {
+        batch_op.ProbeBatch(batch, &out);
+        for (size_t i = 0; i < out.size(); ++i) {
+          batch_rows.push_back(PosRecord{out.pos(i), out.rec(i)});
+        }
+      }
+      ASSERT_EQ(tuple_rows.size(), batch_rows.size()) << label;
+      for (size_t i = 0; i < tuple_rows.size(); ++i) {
+        EXPECT_EQ(tuple_rows[i].pos, batch_rows[i].pos) << label;
+        EXPECT_EQ(tuple_rows[i].rec, batch_rows[i].rec) << label;
+      }
+      ExpectSameStats(tuple_stats, batch_stats, label);
+      EXPECT_GT(batch_stats.stream_records, store->num_records()) << label;
+    }
+  }
+}
+
+TEST_F(BatchDifferentialTest, PositionalJoinsPullInputsInBatches) {
+  // Under batch driving the lock-step merge's base-scan inputs and the
+  // probed Cache-B offset's input are called once per batch, not once per
+  // record.
+  StockSeriesOptions hp;
+  hp.span = Span::Of(1, 2400);
+  hp.density = 1.0;
+  hp.seed = 43;
+  ASSERT_TRUE(engine_.RegisterBase("hp", *MakeStockSeries(hp)).ok());
+  struct Case {
+    std::string name;
+    LogicalOpPtr graph;
+    std::string parent;  // profile label prefix of the batched consumer
+  };
+  const std::vector<Case> cases = {
+      {"lock-step", SeqRef("ibm").ComposeWith(SeqRef("hp")).Build(),
+       "Compose [stream, B:"},
+      {"lock-step into a window",
+       SeqRef("ibm").ComposeWith(SeqRef("hp")).Agg(AggFunc::kAvg, "close", 20)
+           .Build(),
+       "Compose [stream, B:"},
+      {"probed previous",
+       SeqRef("volcanos").ComposeWith(SeqRef("quakes").Prev()).Build(),
+       "ValueOffset [probed"},
+  };
+  for (const Case& c : cases) {
+    for (size_t capacity : {size_t{64}, size_t{1024}}) {
+      Query query;
+      query.graph = c.graph;
+      RunOptions opts;
+      opts.exec.use_batch = true;
+      opts.exec.parallelism = 1;
+      opts.exec.batch_capacity = capacity;
+      opts.profile = true;
+      auto run = engine_.Run(query, opts);
+      const std::string label = c.name + " cap " + std::to_string(capacity);
+      ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
+      ASSERT_TRUE(run->profile.has_value());
+      const OperatorProfile* parent = FindProfile(*run->profile->root, c.parent);
+      ASSERT_NE(parent, nullptr) << label;
+      ASSERT_FALSE(parent->children.empty()) << label;
+      for (const auto& child : parent->children) {
+        const OperatorProfile* input = FindProfile(*child, "BaseRef [stream]");
+        ASSERT_NE(input, nullptr) << label << ": " << child->label;
+        const int64_t batches =
+            input->rows_out / static_cast<int64_t>(capacity);
+        EXPECT_GT(input->rows_out, 50) << label;
+        EXPECT_LE(input->calls, 2 * batches + 4)
+            << label << " @ " << input->label << " rows=" << input->rows_out;
       }
     }
   }

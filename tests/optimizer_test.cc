@@ -276,6 +276,84 @@ TEST_F(PlannerChoiceTest, ValueOffsetStreamUsesCacheB) {
   EXPECT_EQ(node->cache_size, 1);
 }
 
+// Counts the Project nodes of a plan; with `order_preserving` only those
+// that keep their input's field order (pure renames).
+int CountProjects(const PhysNode& node, bool order_preserving) {
+  int n = 0;
+  if (node.op == OpKind::kProject) {
+    const Schema& in = *node.children[0]->out_schema;
+    bool keeps_order = node.columns.size() == in.num_fields();
+    for (size_t k = 0; keeps_order && k < node.columns.size(); ++k) {
+      keeps_order = node.columns[k] == in.field(k).name;
+    }
+    if (!order_preserving || keeps_order) ++n;
+  }
+  for (const PhysNodePtr& child : node.children) {
+    n += CountProjects(*child, order_preserving);
+  }
+  return n;
+}
+
+TEST_F(PlannerChoiceTest, ComposeBlocksCarryNoRenameProjects) {
+  // The block-unique and output field names of a compose block live on
+  // the joins' schemas: no planner-made Project renames fields in order.
+  IntSeriesOptions dense2;
+  dense2.span = Span::Of(0, 99999);
+  dense2.density = 1.0;
+  dense2.seed = 9;
+  dense2.column = "u";
+  ASSERT_TRUE(engine_.RegisterBase("dense2", *MakeIntSeries(dense2)).ok());
+  const std::vector<LogicalOpPtr> graphs = {
+      SeqRef("dense").ComposeWith(SeqRef("dense2")).Build(),
+      SeqRef("sparse").ComposeWith(SeqRef("dense")).Build(),
+      SeqRef("dense").ComposeWith(SeqRef("sparse").Prev()).Build(),
+      SeqRef("dense")
+          .ComposeWith(SeqRef("dense2"), Gt(Col("w", 0), Col("u", 1)))
+          .Build(),
+      SeqRef("dense")
+          .ComposeWith(SeqRef("dense").Offset(-1))
+          .Select(Gt(Col("w"), Col("w_r")))
+          .Build(),
+      SeqRef("sparse")
+          .ComposeWith(SeqRef("dense"))
+          .ComposeWith(SeqRef("dense2"))
+          .Agg(AggFunc::kSum, "u", 4)
+          .Build(),
+  };
+  for (const LogicalOpPtr& graph : graphs) {
+    for (bool probed : {false, true}) {
+      engine_.options().force_root_mode =
+          probed ? std::optional<AccessMode>(AccessMode::kProbed)
+                 : std::nullopt;
+      Query q;
+      q.graph = graph;
+      auto plan = engine_.Plan(q);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      EXPECT_EQ(CountProjects(*plan->root, /*order_preserving=*/true), 0)
+          << plan->Explain();
+      auto run = engine_.Run(q, RunOptions{});
+      ASSERT_TRUE(run.ok()) << run.status() << "\n" << plan->Explain();
+    }
+  }
+  engine_.options().force_root_mode = std::nullopt;
+  // A two-input block keeps its fields in order, so it needs no Project.
+  Query pair;
+  pair.graph = SeqRef("dense").ComposeWith(SeqRef("dense2")).Build();
+  auto plan = engine_.Plan(pair);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(CountProjects(*plan->root, /*order_preserving=*/false), 0);
+  // A user-written rename keeps its operator.
+  Query renamed;
+  renamed.graph = SeqRef("dense")
+                      .Project({"w"}, {"w2"})
+                      .ComposeWith(SeqRef("dense2"))
+                      .Build();
+  plan = engine_.Plan(renamed);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(CountProjects(*plan->root, /*order_preserving=*/false), 1)
+      << plan->Explain();
+}
+
 // --- Property 4.1: enumeration counts ------------------------------------------
 
 class Prop41Test : public ::testing::TestWithParam<int> {};

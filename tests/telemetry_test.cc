@@ -314,6 +314,45 @@ TEST_F(TelemetryEngineTest, ParallelRunReportsMorselsAndWorkers) {
   EXPECT_GT(recent[0].pages, 0);
 }
 
+TEST_F(TelemetryEngineTest, LookBacksAreCounted) {
+  // Morsel clones of a previous-record value offset seed their cache by an
+  // uncharged look-back at the records before the clip: each one counts in
+  // exec.lookbacks, and the records it streamed in exec.lookback_records.
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  auto lookbacks = [&] { return metrics.Get("exec.lookbacks"); };
+  auto lookback_records = [&] { return metrics.Get("exec.lookback_records"); };
+  Query prev;
+  prev.graph = SeqRef("s").Prev().Build();
+
+  int64_t before = lookbacks();
+  int64_t records_before = lookback_records();
+  RunOptions serial;
+  serial.exec.parallelism = 1;
+  ASSERT_TRUE(engine_.Run(prev, serial).ok());
+  EXPECT_EQ(lookbacks(), before) << "a serial run looks back nowhere";
+  EXPECT_EQ(lookback_records(), records_before);
+
+  const int64_t morsels_before = metrics.Get("exec.morsels");
+  RunOptions opts;
+  opts.exec.use_batch = true;
+  opts.exec.parallelism = 4;
+  opts.exec.morsel_size = 256;  // ~8 morsels over the 2000-position span
+  ASSERT_TRUE(engine_.Run(prev, opts).ok());
+  const int64_t morsels = metrics.Get("exec.morsels") - morsels_before;
+  ASSERT_GE(morsels, 2) << "expected a parallel run";
+  const int64_t counted = lookbacks() - before;
+  EXPECT_GE(counted, morsels - 1);
+  EXPECT_GE(lookback_records() - records_before, counted);
+
+  // A lock-step merge of base scans places its stop and its morsel edges
+  // from the stores: no look-back at all.
+  Query pair;
+  pair.graph = SeqRef("s").ComposeWith(SeqRef("s").Offset(-1)).Build();
+  before = lookbacks();
+  ASSERT_TRUE(engine_.Run(pair, opts).ok());
+  EXPECT_EQ(lookbacks(), before);
+}
+
 TEST_F(TelemetryEngineTest, PreparedRunUsesCapturedTextAndDigest) {
   auto prepared = engine_.Prepare(SelectQuery(500));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
