@@ -21,9 +21,8 @@
 namespace seq {
 
 /// Per-query run configuration — the one way to say HOW a query executes.
-/// Replaces the old pattern of mutating engine-wide exec_options() between
-/// queries: a RunOptions travels with the call, so concurrent queries on
-/// one engine can use different budgets, parallelism, driving modes and
+/// A RunOptions travels with the call, so concurrent queries on one engine
+/// can use different budgets, parallelism, driving modes and
 /// instrumentation without racing on shared engine state.
 ///
 ///   RunOptions opts;
@@ -35,9 +34,7 @@ struct RunOptions {
   /// Execution knobs for this run: driving mode, batch capacity, budgets,
   /// fault injection, morsel parallelism (a share cap on the process-wide
   /// scheduler pool), scheduler priority and admission timeout. Defaults
-  /// are the library defaults (including SEQ_USE_BATCH / SEQ_PARALLELISM),
-  /// NOT whatever was last poked into the deprecated engine-wide
-  /// exec_options().
+  /// are the library defaults (including SEQ_USE_BATCH / SEQ_PARALLELISM).
   ExecOptions exec;
   /// Collect the per-operator runtime profile and optimizer trace into
   /// QueryResult::profile. Slower (every operator call is timed); the
@@ -45,9 +42,11 @@ struct RunOptions {
   bool profile = false;
   /// When set, every answer row streams to this sink in position order and
   /// QueryResult::records stays empty — the allocation-free consumption
-  /// path. The row reference is only valid during the callback. Cannot be
-  /// combined with `profile`, and rows already visited before a mid-stream
-  /// error or budget trip cannot be taken back (docs/robustness.md).
+  /// path. The row reference is only valid during the callback. A sink run
+  /// streams serially on the calling thread whatever `exec.parallelism`
+  /// is. Cannot be combined with `profile`, and rows already visited before
+  /// a mid-stream error or budget trip cannot be taken back
+  /// (docs/robustness.md).
   RowSink sink;
   /// Simulated access/cache/predicate counters accumulate here when set.
   AccessStats* stats = nullptr;

@@ -51,6 +51,16 @@ struct QueryGuards {
 inline constexpr const char* kCacheBudgetExceededPrefix =
     "operator cache memory budget exceeded";
 
+/// The statuses of a tripped page or row budget.
+inline Status PageBudgetExceeded(int64_t max_pages) {
+  return Status::ResourceExhausted("query exceeded page-access budget of " +
+                                   std::to_string(max_pages) + " pages");
+}
+inline Status RowBudgetExceeded(int64_t max_rows) {
+  return Status::ResourceExhausted("query exceeded row budget of " +
+                                   std::to_string(max_rows) + " rows");
+}
+
 /// Shared state threaded through a plan's operators during evaluation.
 /// `stats` receives every simulated access/cache/predicate charge; the cost
 /// constants mirror the ones the optimizer estimated with so measured
@@ -89,8 +99,8 @@ struct ExecContext {
   // failing operator Raise()s a status here and returns end-of-stream.
   // Every native batch loop checks failed() between child pulls, the
   // default adapters terminate on the end-of-stream they are handed, and
-  // the executor's driving loop surfaces the raised status from
-  // Execute/ExecuteVisit — partial rows are discarded, never returned.
+  // the executor's driver (Executor::Drive) surfaces the raised status: a
+  // materialized run discards its partial rows, a sink has seen them.
 
   bool failed() const { return !error_.ok(); }
   const Status& error() const { return error_; }
@@ -127,10 +137,24 @@ struct ExecContext {
     has_deadline_ = true;
   }
 
-  /// Cooperative budget check, called at batch boundaries. `rows_emitted`
-  /// is the driver's root-row count (operators pass the running total they
-  /// know, or 0 when only checking cancellation/time/pages).
+  /// Cooperative budget check, called by operators at batch boundaries
+  /// with the running root-row total they know, or 0 when only checking
+  /// cancellation/time/pages. The driver checks its whole-run totals
+  /// through its own accountant instead (executor.cc).
   Status CheckGuards(int64_t rows_emitted) const {
+    SEQ_RETURN_IF_ERROR(CheckInterrupt());
+    if (guards.max_pages > 0 && stats != nullptr &&
+        stats->stream_pages + stats->probe_pages > guards.max_pages) {
+      return PageBudgetExceeded(guards.max_pages);
+    }
+    if (guards.max_rows > 0 && rows_emitted > guards.max_rows) {
+      return RowBudgetExceeded(guards.max_rows);
+    }
+    return Status::OK();
+  }
+
+  /// The cancel and wall-clock half of CheckGuards, in its order.
+  Status CheckInterrupt() const {
     if (guards.cancel != nullptr &&
         guards.cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled("query cancelled by driver");
@@ -139,17 +163,6 @@ struct ExecContext {
       return Status::DeadlineExceeded(
           "query exceeded wall-clock budget of " +
           std::to_string(guards.max_wall_ms) + "ms");
-    }
-    if (guards.max_pages > 0 && stats != nullptr &&
-        stats->stream_pages + stats->probe_pages > guards.max_pages) {
-      return Status::ResourceExhausted(
-          "query exceeded page-access budget of " +
-          std::to_string(guards.max_pages) + " pages");
-    }
-    if (guards.max_rows > 0 && rows_emitted > guards.max_rows) {
-      return Status::ResourceExhausted("query exceeded row budget of " +
-                                       std::to_string(guards.max_rows) +
-                                       " rows");
     }
     return Status::OK();
   }

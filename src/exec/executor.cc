@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -64,44 +66,6 @@ OperatorProfile* AddProfileNode(OperatorProfile* parent,
           : node.required.Length();
   return prof;
 }
-
-/// Publishes serial driving-loop progress into the live-query record.
-/// Rows are reported as the caller's per-batch delta; pages are read as
-/// deltas from the context's stats block (ExecuteImpl/ExecuteVisit install
-/// a local block whenever telemetry is set). Construction marks one
-/// worker live, destruction marks it idle; all accesses are relaxed
-/// atomics, so reporting never blocks and a null telemetry costs a branch.
-class TelemetryReporter {
- public:
-  TelemetryReporter(QueryTelemetry* telem, const AccessStats* stats)
-      : telem_(telem), stats_(stats) {
-    if (telem_ != nullptr) telem_->workers.store(1, std::memory_order_relaxed);
-  }
-  ~TelemetryReporter() {
-    if (telem_ != nullptr) telem_->workers.store(0, std::memory_order_relaxed);
-  }
-  TelemetryReporter(const TelemetryReporter&) = delete;
-  TelemetryReporter& operator=(const TelemetryReporter&) = delete;
-
-  void Report(int64_t rows_delta) {
-    if (telem_ == nullptr) return;
-    if (rows_delta > 0) {
-      telem_->rows.fetch_add(rows_delta, std::memory_order_relaxed);
-    }
-    if (stats_ != nullptr) {
-      const int64_t now = stats_->stream_pages + stats_->probe_pages;
-      if (now != pages_seen_) {
-        telem_->pages.fetch_add(now - pages_seen_, std::memory_order_relaxed);
-        pages_seen_ = now;
-      }
-    }
-  }
-
- private:
-  QueryTelemetry* telem_;
-  const AccessStats* stats_;
-  int64_t pages_seen_ = 0;
-};
 
 // A builder of uncharged clipped copies of `input` (defined with the morsel
 // machinery below).
@@ -465,6 +429,39 @@ SpineInfo SpineFail(std::string reason) {
   s.ok = false;
   s.reason = std::move(reason);
   return s;
+}
+
+int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+// Cuts a bounded, non-empty `span` every `step` positions, each cut snapped
+// UP into the spine's boundary class (start ≡ phase mod modulus) so
+// collapse/expand bucket edges coincide with piece edges; a cut that snaps
+// onto or behind the previous one is skipped. Morsel planning, the
+// checkpoint grid and a checkpoint chunk's morsel sub-split all cut here,
+// so a resumed run sees exactly the grid of the run it resumes.
+std::vector<Span> SplitSpan(Span span, int64_t step, const SpineInfo& spine) {
+  std::vector<Span> pieces;
+  Position start = span.start;
+  for (int64_t k = 1; span.start + k * step <= span.end; ++k) {
+    Position b = span.start + k * step;
+    if (spine.modulus > 1) b += Mod(spine.phase - b, spine.modulus);
+    if (b > span.end) break;
+    if (b <= start) continue;
+    pieces.push_back(Span::Of(start, b - 1));
+    start = b;
+  }
+  pieces.push_back(Span::Of(start, span.end));
+  return pieces;
+}
+
+// Cuts a position list into consecutive slices of `step` entries.
+std::vector<std::span<const Position>> SplitList(
+    std::span<const Position> list, size_t step) {
+  std::vector<std::span<const Position>> slices;
+  for (size_t off = 0; off < list.size(); off += step) {
+    slices.push_back(list.subspan(off, std::min(step, list.size() - off)));
+  }
+  return slices;
 }
 
 // A previous-record Cache-B value offset: clipped like the spine, with an
@@ -1031,19 +1028,116 @@ void MergeProfileTree(OperatorProfile* dst, const OperatorProfile& src) {
   }
 }
 
-// Whole-query budget state shared by all morsel workers. Workers add page
-// and row deltas AFTER each non-empty root batch (mirroring where the
-// serial driver checks), then test the running totals in the serial
-// CheckGuards order with the identical messages — so whether a budget
-// trips, and with what status, matches a serial run. The first failure
-// wins; later ones (usually the cancellation cascade through `stop`) are
-// dropped, exactly like ExecContext::Raise.
-struct SharedGuardState {
+// Marks one live worker in the query registry for as long as a unit runs.
+// Relaxed atomics, so reporting never blocks; a null telemetry costs a
+// branch.
+class LiveWorker {
+ public:
+  explicit LiveWorker(QueryTelemetry* telem) : telem_(telem) {
+    if (telem_ != nullptr) {
+      telem_->workers.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  ~LiveWorker() {
+    if (telem_ != nullptr) {
+      telem_->workers.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+  LiveWorker(const LiveWorker&) = delete;
+  LiveWorker& operator=(const LiveWorker&) = delete;
+
+ private:
+  QueryTelemetry* telem_;
+};
+
+// The wall-clock deadline `max_wall_ms` from now; none when it is 0.
+std::optional<std::chrono::steady_clock::time_point> DeadlineIn(
+    int64_t max_wall_ms) {
+  if (max_wall_ms <= 0) return std::nullopt;
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(max_wall_ms);
+}
+
+// The driver's two row consumers. `Slot` takes a row that still sits in a
+// batch slot, `Own` a record the driver owns outright (tuple driving).
+//
+// CollectRows materializes: batch rows by moving their *values* out of the
+// slots, since stealing the slot vectors themselves would drain the
+// pipeline's reusable buffers and put a per-row allocation back upstream.
+struct CollectRows {
+  std::vector<PosRecord>* out;
+
+  void Slot(Position p, Record& rec) {
+    out->emplace_back();
+    PosRecord& pr = out->back();
+    pr.pos = p;
+    MoveRecordValues(pr.rec, rec);
+  }
+  void Own(Position p, Record&& rec) {
+    out->push_back(PosRecord{p, std::move(rec)});
+  }
+};
+
+// VisitRows hands every row to a RowSink where it lies.
+struct VisitRows {
+  const RowSink* sink;
+
+  void Slot(Position p, Record& rec) { (*sink)(p, rec); }
+  void Own(Position p, Record&& rec) { (*sink)(p, rec); }
+};
+
+}  // namespace
+
+// One unit of the driver's grid: a plan node and what of it to drive. A
+// stream unit keeps the rows inside `emit` (and, for a point-position
+// stream plan, only those at `positions`); a probed unit probes
+// `positions`, or every position of `emit` when `positions` is empty. A
+// checkpoint chunk also restores operator state right after Open and
+// saves it right before Close.
+struct Executor::Unit {
+  PhysNodePtr node;
+  Span emit = Span::Empty();
+  std::span<const Position> positions;
+  const std::string* restore = nullptr;
+  std::string* save = nullptr;
+};
+
+// The run-level state of the one budget accountant, shared by every unit
+// of a run. Rows and pages count as a base (what earlier checkpoint chunks
+// spent, 0 otherwise) plus the deltas each unit adds after every batch, so
+// a budget counts this run's own pages only. The first failure wins and
+// raises `stop` for the other units; later ones (usually the cancellation
+// cascade through `stop`) are dropped, exactly like ExecContext::Raise.
+struct Executor::SharedGuardState {
   std::atomic<int64_t> rows{0};
   std::atomic<int64_t> pages{0};
   std::atomic<bool> stop{false};
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   std::mutex mu;
   Status first_status;
+
+  // The accountant: after a unit emitted `rows_delta` rows and charged
+  // `pages_delta` pages, checks cancel, then the deadline, then pages, then
+  // rows, with ExecContext::CheckGuards' messages. False, with the failure
+  // recorded, when the run must stop.
+  bool Account(const ExecContext& ctx, const QueryGuards& limits,
+               int64_t rows_delta, int64_t pages_delta) {
+    Status s = ctx.CheckInterrupt();
+    if (s.ok() && limits.max_pages > 0 &&
+        pages.fetch_add(pages_delta, std::memory_order_relaxed) +
+                pages_delta >
+            limits.max_pages) {
+      s = PageBudgetExceeded(limits.max_pages);
+    }
+    if (s.ok() && limits.max_rows > 0 &&
+        rows.fetch_add(rows_delta, std::memory_order_relaxed) + rows_delta >
+            limits.max_rows) {
+      s = RowBudgetExceeded(limits.max_rows);
+    }
+    if (s.ok()) return true;
+    Fail(std::move(s));
+    return false;
+  }
 
   void Fail(Status s) {
     {
@@ -1058,8 +1152,6 @@ struct SharedGuardState {
     return first_status;
   }
 };
-
-}  // namespace
 
 MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
   MorselPlan mp;
@@ -1099,7 +1191,7 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
       oss << "parallel: " << workers << " workers over " << n
           << " probe positions";
       mp.reason = oss.str();
-      return mp;  // morsels stay empty: ExecuteParallel chunks the list
+      return mp;  // morsels stay empty: MorselUnits chunks the list
     }
     if (plan.output_span.IsEmpty()) return serial("empty output span");
     if (plan.output_span.IsUnbounded()) return serial("unbounded probe range");
@@ -1107,7 +1199,7 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
     int64_t count;
     if (options_.morsel_size > 0) {
       const int64_t ms = static_cast<int64_t>(options_.morsel_size);
-      count = std::min<int64_t>((len + ms - 1) / ms, 1024);
+      count = std::min<int64_t>(CeilDiv(len, ms), 1024);
     } else {
       if (len < workers * kMinMorselLen) {
         return serial("output span too short to split");
@@ -1115,12 +1207,7 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
       count = workers;
     }
     if (count <= 1) return serial("single morsel");
-    const int64_t step = (len + count - 1) / count;
-    for (Position s = plan.output_span.start; s <= plan.output_span.end;
-         s += step) {
-      mp.morsels.push_back(
-          Span::Of(s, std::min(plan.output_span.end, s + step - 1)));
-    }
+    mp.morsels = SplitSpan(plan.output_span, CeilDiv(len, count), SpineInfo{});
     mp.parallel = true;
     mp.workers = static_cast<int>(
         std::min<size_t>(static_cast<size_t>(workers), mp.morsels.size()));
@@ -1144,7 +1231,7 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
   int64_t count;
   if (options_.morsel_size > 0) {
     const int64_t ms = static_cast<int64_t>(options_.morsel_size);
-    count = std::min<int64_t>((len + ms - 1) / ms, 1024);
+    count = std::min<int64_t>(CeilDiv(len, ms), 1024);
   } else {
     if (len < workers * kMinMorselLen) {
       return serial("output span too short to split");
@@ -1168,27 +1255,10 @@ MorselPlan Executor::PlanMorsels(const PhysicalPlan& plan) const {
     }
   }
 
-  // Morsel starts: even splits snapped UP into the boundary class
-  // (start ≡ phase mod modulus) so collapse/expand bucket edges coincide
-  // with morsel edges.
   const Span span = plan.output_span;
-  std::vector<Position> starts;
-  starts.push_back(span.start);
-  const int64_t step = (len + count - 1) / count;
-  for (int64_t k = 1; k < count; ++k) {
-    Position b = span.start + k * step;
-    if (spine.modulus > 1) b += Mod(spine.phase - b, spine.modulus);
-    if (b <= starts.back()) continue;
-    if (b > span.end) break;
-    starts.push_back(b);
-  }
-  if (starts.size() <= 1) {
+  mp.morsels = SplitSpan(span, CeilDiv(len, count), spine);
+  if (mp.morsels.size() <= 1) {
     return serial("boundary alignment left a single morsel");
-  }
-  mp.morsels.reserve(starts.size());
-  for (size_t i = 0; i < starts.size(); ++i) {
-    const Position e = (i + 1 < starts.size()) ? starts[i + 1] - 1 : span.end;
-    mp.morsels.push_back(Span::Of(starts[i], e));
   }
   mp.parallel = true;
   mp.workers = static_cast<int>(
@@ -1209,47 +1279,263 @@ ExecContext Executor::EdgeContext() const {
   return ctx;
 }
 
-Result<QueryResult> Executor::ExecuteParallel(const PhysicalPlan& plan,
-                                              const MorselPlan& mp,
-                                              AccessStats* stats,
-                                              OperatorProfile* root_profile)
-    const {
-  return ExecuteParallelInner(plan, mp, stats, root_profile, nullptr);
+// Row and page budgets are whole-run totals that only the accountant sees,
+// so a unit's own context leaves them off; it keeps cancel, the run's
+// deadline and the (position-determined) cache budget.
+ExecContext Executor::UnitContext(AccessStats* stats,
+                                  const SharedGuardState& shared) const {
+  ExecContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.stats = stats;
+  ctx.params = params_;
+  ctx.faults = options_.fault_injector;
+  ctx.guards = options_.guards;
+  ctx.guards.max_rows = 0;
+  ctx.guards.max_pages = 0;
+  if (shared.deadline) ctx.ArmGuardsAt(*shared.deadline);
+  return ctx;
 }
 
-Result<QueryResult> Executor::ExecuteParallelInner(
-    const PhysicalPlan& plan, const MorselPlan& mp, AccessStats* stats,
-    OperatorProfile* root_profile, const ChunkExtras* extras) const {
-  const bool probed = plan.root_mode == AccessMode::kProbed;
-  const bool probed_list = probed && !plan.positions.empty();
-
-  // Wall-clock budget measured from BEFORE admission: time spent waiting
-  // in the scheduler's queue counts toward max_wall_ms, so a query that
-  // queues never gets more total wall time than an uncontended one. All
-  // workers later arm the same instant, so the budget bounds the query,
-  // not each worker's skew. A checkpointed chunk inherits the deadline
-  // computed before chunk 0 — the wall budget spans the whole run, not
-  // each chunk.
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = options_.guards.max_wall_ms > 0;
-  if (extras != nullptr) {
-    has_deadline = extras->has_deadline;
-    deadline = extras->deadline;
-  } else if (has_deadline) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(options_.guards.max_wall_ms);
+// The Start operator (paper §4): opens the unit's root and pulls it in the
+// plan's root mode, hands every row to `consume` and accounts after every
+// batch, or after every record under tuple driving. Every failure lands in
+// `shared`.
+template <class Consume>
+void Executor::Drive(const Unit& unit, AccessMode mode, ExecContext* ctx,
+                     SharedGuardState* shared, OperatorProfile* prof,
+                     Consume& consume) const {
+  LiveWorker live(options_.telemetry);
+  Result<SeqOpPtr> built = Build(unit.node, prof);
+  if (!built.ok()) return shared->Fail(built.status());
+  SeqOpPtr root = std::move(built).value();
+  if (Status open = root->Open(ctx); !open.ok()) {
+    return shared->Fail(std::move(open));
+  }
+  if (unit.restore != nullptr) {
+    OpStateReader reader(*unit.restore);
+    if (!root->RestoreState(&reader) || !reader.Exhausted()) {
+      root->Close();
+      return shared->Fail(Status::DataLoss(
+          "checkpoint operator state does not match the plan shape"));
+    }
   }
 
+  // Rows and the pages charged since the previous call go to the live-query
+  // record and to the accountant. Pages charged by the final drain, after
+  // the last accounted batch, are not accounted.
+  QueryTelemetry* telem = options_.telemetry;
+  int64_t pages_seen = 0;
+  auto account = [&](int64_t emitted) {
+    int64_t page_delta = 0;
+    if (ctx->stats != nullptr) {
+      ctx->stats->records_output += emitted;
+      const int64_t now = ctx->stats->stream_pages + ctx->stats->probe_pages;
+      page_delta = now - pages_seen;
+      pages_seen = now;
+    }
+    if (telem != nullptr) {
+      if (emitted > 0) {
+        telem->rows.fetch_add(emitted, std::memory_order_relaxed);
+      }
+      if (page_delta > 0) {
+        telem->pages.fetch_add(page_delta, std::memory_order_relaxed);
+      }
+    }
+    return shared->Account(*ctx, options_.guards, emitted, page_delta);
+  };
+  auto running = [shared] {
+    return !shared->stop.load(std::memory_order_relaxed);
+  };
+  const size_t cap = std::max<size_t>(options_.batch_capacity, 1);
+  const Span emit = unit.emit;
+
+  if (mode == AccessMode::kProbed) {
+    // Probed (Fig. 6): the unit's positions, or every position of its span,
+    // in chunks of the batch capacity. Batch and tuple driving probe the
+    // same positions in the same order, so their AccessStats agree.
+    std::vector<Position> walk;
+    size_t taken = 0;
+    Position next = emit.start;
+    auto next_chunk = [&]() -> std::span<const Position> {
+      if (!unit.positions.empty()) {
+        const size_t n = std::min(cap, unit.positions.size() - taken);
+        taken += n;
+        return unit.positions.subspan(taken - n, n);
+      }
+      walk.clear();
+      while (walk.size() < cap && next <= emit.end) walk.push_back(next++);
+      return walk;
+    };
+    if (options_.use_batch) {
+      RecordBatch batch(cap);
+      for (std::span<const Position> chunk = next_chunk();
+           !chunk.empty() && running(); chunk = next_chunk()) {
+        const size_t n = root->ProbeBatch(chunk, &batch);
+        if (ctx->failed()) break;
+        for (size_t i = 0; i < n; ++i) {
+          consume.Slot(batch.pos(i), batch.rec(i));
+        }
+        if (!account(static_cast<int64_t>(n))) break;
+      }
+    } else {
+      bool go = true;
+      for (std::span<const Position> chunk = next_chunk();
+           go && !chunk.empty(); chunk = next_chunk()) {
+        for (Position p : chunk) {
+          std::optional<Record> r = root->Probe(p);
+          if (ctx->failed()) {
+            go = false;
+            break;
+          }
+          if (r.has_value()) consume.Own(p, std::move(*r));
+          go = account(r.has_value() ? 1 : 0);
+          if (!go) break;
+        }
+      }
+    }
+  } else if (emit.IsEmpty()) {
+    // An empty stream span drives nothing.
+  } else if (options_.use_batch && unit.positions.empty()) {
+    // The optimizer clips every node's required span to the requested
+    // range, so a serial root never emits outside `emit`; morsel clones
+    // may, on the sides they leave unclipped.
+    RecordBatch batch(cap);
+    while (running() && root->NextBatch(&batch) > 0 && !ctx->failed()) {
+      int64_t emitted = 0;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (batch.pos(i) < emit.start || batch.pos(i) > emit.end) continue;
+        consume.Slot(batch.pos(i), batch.rec(i));
+        ++emitted;
+      }
+      if (!account(emitted)) break;
+    }
+  } else {
+    // Tuple driving, and the point-position filter of a stream plan.
+    size_t wanted_at = 0;
+    for (std::optional<PosRecord> r = root->NextAtOrAfter(emit.start);
+         r.has_value() && r->pos <= emit.end && !ctx->failed();
+         r = root->Next()) {
+      bool wanted = true;
+      if (!unit.positions.empty()) {
+        while (wanted_at < unit.positions.size() &&
+               unit.positions[wanted_at] < r->pos) {
+          ++wanted_at;
+        }
+        wanted = wanted_at < unit.positions.size() &&
+                 unit.positions[wanted_at] == r->pos;
+      }
+      if (wanted) consume.Own(r->pos, std::move(r->rec));
+      if (!account(wanted ? 1 : 0)) break;
+    }
+  }
+
+  if (unit.save != nullptr && running() && !ctx->failed()) {
+    OpStateWriter writer;
+    root->SaveState(&writer);
+    *unit.save = writer.blob();
+  }
+  root->Close();
+  if (Status err = ctx->TakeError(); !err.ok()) shared->Fail(std::move(err));
+}
+
+// A whole run as one unit on the calling thread. The run charges a stats
+// block of its own, added to the caller's at the end whether it failed or
+// not: the accountant, the leaves and the blocking operators then all see
+// this run's pages only. The block exists whenever something reads it.
+template <class Consume>
+Status Executor::RunInline(const PhysicalPlan& plan, AccessStats* stats,
+                           OperatorProfile* root_profile,
+                           Consume& consume) const {
+  if (plan.root == nullptr) {
+    return Status::InvalidArgument("plan has no root");
+  }
+  SharedGuardState shared;
+  shared.deadline = DeadlineIn(options_.guards.max_wall_ms);
+  AccessStats own;
+  const bool counted = stats != nullptr || options_.guards.max_pages > 0 ||
+                       options_.telemetry != nullptr;
+  ExecContext ctx = UnitContext(counted ? &own : nullptr, shared);
+  // With no base and one unit, the run's own pages are its total, so the
+  // leaves may stop at the page budget too.
+  ctx.guards.max_pages = options_.guards.max_pages;
+  Unit unit;
+  unit.node = plan.root;
+  unit.emit = plan.output_span;
+  unit.positions = plan.positions;
+  Drive(unit, plan.root_mode, &ctx, &shared, root_profile, consume);
+  if (stats != nullptr) *stats += own;
+  return shared.TakeStatus();
+}
+
+// The units of a morsel group. Stream morsels get a clipped clone of the
+// plan tree; the first and last run on to `outer` on their open side (the
+// serial plan's lead-in and tail, or a checkpoint chunk's own edges).
+// Probed roots share the original immutable nodes and split the position
+// list or the span walk instead.
+Result<std::vector<Executor::Unit>> Executor::MorselUnits(
+    const PhysicalPlan& plan, const MorselPlan& mp, Span outer) const {
+  std::vector<Unit> units;
+  if (plan.root_mode == AccessMode::kProbed && !plan.positions.empty()) {
+    const size_t n = plan.positions.size();
+    size_t chunks = options_.morsel_size > 0
+                        ? static_cast<size_t>(CeilDiv(
+                              static_cast<int64_t>(n),
+                              static_cast<int64_t>(options_.morsel_size)))
+                        : static_cast<size_t>(mp.workers);
+    chunks = std::min(std::max<size_t>(chunks, 1), std::min<size_t>(n, 1024));
+    const size_t step = (n + chunks - 1) / chunks;
+    for (std::span<const Position> slice : SplitList(plan.positions, step)) {
+      Unit u;
+      u.node = plan.root;
+      u.positions = slice;
+      units.push_back(std::move(u));
+    }
+  } else if (plan.root_mode == AccessMode::kProbed) {
+    for (const Span& m : mp.morsels) {
+      Unit u;
+      u.node = plan.root;
+      u.emit = m;
+      units.push_back(std::move(u));
+    }
+  } else {
+    EarlyStops stops;
+    SEQ_RETURN_IF_ERROR(FindEarlyStops(this, plan.root, EdgeContext(), &stops));
+    CloneMode mode;
+    mode.stops = &stops;
+    for (size_t i = 0; i < mp.morsels.size(); ++i) {
+      Unit u;
+      u.emit = mp.morsels[i];
+      const Position lo = i == 0 ? outer.start : u.emit.start;
+      const Position hi = i + 1 == mp.morsels.size() ? outer.end : u.emit.end;
+      u.node = CloneForMorsel(plan.root, lo, hi, mode);
+      units.push_back(std::move(u));
+    }
+  }
+  return units;
+}
+
+// Morsel-parallel driving (docs/execution.md): admission, one independent
+// operator tree per unit on the scheduler pool, and the merge of their
+// rows and AccessStats in unit order. `shared` holds the budget base and
+// the deadline, both set by the caller before admission. Registry morsel
+// counts are left to the caller when `count_morsels` is false (a checkpoint
+// chunk counts chunks instead).
+Result<QueryResult> Executor::RunMorsels(const PhysicalPlan& plan,
+                                         const MorselPlan& mp, Span outer,
+                                         SharedGuardState* shared,
+                                         AccessStats* stats,
+                                         OperatorProfile* root_profile,
+                                         bool count_morsels) const {
   // Admission to the process-wide scheduler: at most max_running parallel
   // queries execute at once; beyond that this thread waits (visible as
   // the `queued` registry state) or is rejected. Serial queries never
-  // reach this point.
+  // reach this point. Time spent queued counts toward max_wall_ms.
   QueryTelemetry* telem = options_.telemetry;
   QueryScheduler& sched = QueryScheduler::Global();
   QueryScheduler::AdmitRequest admit_request;
   admit_request.priority = options_.priority;
   admit_request.timeout_ms = options_.admission_timeout_ms;
-  if (has_deadline) admit_request.deadline = deadline;
+  if (shared->deadline) admit_request.deadline = *shared->deadline;
   admit_request.cancel = options_.guards.cancel;
   int pre_admit_state = static_cast<int>(QueryState::kExecuting);
   if (telem != nullptr) {
@@ -1270,62 +1556,9 @@ Result<QueryResult> Executor::ExecuteParallelInner(
                            std::memory_order_relaxed);
   }
 
-  // Work units. Stream morsels get a clipped clone of the plan tree (the
-  // first/last morsel keeps the serial plan's lead-in/tail by leaving that
-  // side unclipped); probed roots share the original immutable nodes and
-  // split the position list / span walk instead.
-  struct Unit {
-    PhysNodePtr node;
-    Span emit = Span::Empty();
-    size_t pos_begin = 0, pos_end = 0;  // probed position-list chunk
-  };
-  std::vector<Unit> units;
-  if (probed_list) {
-    const size_t n = plan.positions.size();
-    size_t chunks = options_.morsel_size > 0
-                        ? (n + options_.morsel_size - 1) / options_.morsel_size
-                        : static_cast<size_t>(mp.workers);
-    chunks = std::min(std::max<size_t>(chunks, 1), std::min<size_t>(n, 1024));
-    const size_t step = (n + chunks - 1) / chunks;
-    for (size_t off = 0; off < n; off += step) {
-      Unit u;
-      u.node = plan.root;
-      u.pos_begin = off;
-      u.pos_end = std::min(n, off + step);
-      units.push_back(std::move(u));
-    }
-  } else if (probed) {
-    for (const Span& m : mp.morsels) {
-      Unit u;
-      u.node = plan.root;
-      u.emit = m;
-      units.push_back(std::move(u));
-    }
-  } else {
-    // A checkpointed chunk clips its outermost units at the chunk
-    // boundaries instead of leaving them open: a middle chunk must not
-    // re-read the lead-in or run into the tail.
-    const Position outer_lo = extras != nullptr ? extras->clip_lo : kMinPosition;
-    const Position outer_hi = extras != nullptr ? extras->clip_hi : kMaxPosition;
-    CloneMode mode;
-    EarlyStops stops;
-    SEQ_RETURN_IF_ERROR(FindEarlyStops(this, plan.root, EdgeContext(), &stops));
-    mode.stops = &stops;
-    for (size_t i = 0; i < mp.morsels.size(); ++i) {
-      Unit u;
-      u.emit = mp.morsels[i];
-      const Position lo = i == 0 ? outer_lo : mp.morsels[i].start;
-      const Position hi =
-          i + 1 == mp.morsels.size() ? outer_hi : mp.morsels[i].end;
-      u.node = CloneForMorsel(plan.root, lo, hi, mode);
-      units.push_back(std::move(u));
-    }
-  }
+  SEQ_ASSIGN_OR_RETURN(std::vector<Unit> units, MorselUnits(plan, mp, outer));
   const size_t n_units = units.size();
-
-  // Registry morsel counts are owned by the chunk driver when this group
-  // runs one chunk of a checkpointed query (morsels_total = chunk count).
-  if (telem != nullptr && extras == nullptr) {
+  if (telem != nullptr && count_morsels) {
     telem->morsels_total.store(static_cast<int>(n_units),
                                std::memory_order_relaxed);
   }
@@ -1358,167 +1591,32 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   static_assert(alignof(UnitSlot) == 128 && sizeof(UnitSlot) % 128 == 0);
   std::vector<UnitSlot> slots(n_units);
   {
-    const double est = probed_list ? static_cast<double>(plan.positions.size())
-                                   : plan.root->EstRows();
+    const double est = plan.root_mode == AccessMode::kProbed &&
+                               !plan.positions.empty()
+                           ? static_cast<double>(plan.positions.size())
+                           : plan.root->EstRows();
     const size_t per_unit = std::min(
         static_cast<size_t>(std::max(est, 0.0)) / n_units + 16,
         size_t{1} << 18);
     for (UnitSlot& slot : slots) slot.records.reserve(per_unit);
   }
 
-  SharedGuardState shared;
-  if (extras != nullptr) {
-    // Whole-query budgets: rows and pages already spent by earlier chunks
-    // count against max_rows/max_pages, so a checkpointed run trips at
-    // exactly the same totals as an uninterrupted one.
-    shared.rows.store(extras->base_rows, std::memory_order_relaxed);
-    shared.pages.store(extras->base_pages, std::memory_order_relaxed);
-  }
-
+  // All units run on the process-wide scheduler pool: this query's units
+  // form one task group, dispatched FIFO with at most mp.workers (the
+  // per-query share cap) scheduler workers on it at once. The coordinating
+  // thread waits at the group barrier — it does not execute units — and
+  // forwards the caller's cancellation flag to the workers, which watch
+  // shared->stop, from the scheduler's wait/poll loop.
   auto run_unit = [&](size_t ui) {
     const auto unit_start = std::chrono::steady_clock::now();
-    const Unit& unit = units[ui];
     UnitSlot& slot = slots[ui];
-    ExecContext ctx;
-    ctx.catalog = &catalog_;
-    ctx.stats = &slot.stats;
-    ctx.params = params_;
-    ctx.faults = nullptr;  // an armed injector forces serial in PlanMorsels
-    ctx.guards = options_.guards;
-    // Rows and pages are whole-query budgets, enforced against the shared
-    // totals; the worker context keeps only the cooperative stop flag, the
-    // shared deadline and the (position-determined) cache budget.
-    ctx.guards.max_rows = 0;
-    ctx.guards.max_pages = 0;
-    ctx.guards.cancel = &shared.stop;
-    if (has_deadline) ctx.ArmGuardsAt(deadline);
-
-    Result<SeqOpPtr> built =
-        Build(unit.node, root_profile != nullptr ? &slot.profile : nullptr);
-    if (!built.ok()) {
-      shared.Fail(built.status());
-      return;
-    }
-    SeqOpPtr root = std::move(built).value();
-    Status open = root->Open(&ctx);
-    if (!open.ok()) {
-      shared.Fail(std::move(open));
-      return;
-    }
-
-    std::vector<PosRecord>& out = slot.records;
-    AccessStats& mstats = slot.stats;
-    int64_t pages_seen = 0;
-
-    // Post-batch accounting against the shared budgets, in the serial
-    // CheckGuards order (cancel, deadline, pages, rows), with the serial
-    // messages. Page deltas from the final drain (after the last non-empty
-    // batch) are intentionally NOT accounted — the serial driver never
-    // checks after them either.
-    auto account = [&](int64_t emitted) {
-      Status g = ctx.CheckGuards(0);  // cancel + deadline
-      if (!g.ok()) {
-        shared.Fail(std::move(g));
-        return false;
-      }
-      const int64_t page_now = mstats.stream_pages + mstats.probe_pages;
-      const int64_t page_delta = page_now - pages_seen;
-      pages_seen = page_now;
-      if (telem != nullptr) {
-        if (page_delta > 0) {
-          telem->pages.fetch_add(page_delta, std::memory_order_relaxed);
-        }
-        if (emitted > 0) {
-          telem->rows.fetch_add(emitted, std::memory_order_relaxed);
-        }
-      }
-      if (options_.guards.max_pages > 0) {
-        const int64_t total =
-            shared.pages.fetch_add(page_delta, std::memory_order_relaxed) +
-            page_delta;
-        if (total > options_.guards.max_pages) {
-          shared.Fail(Status::ResourceExhausted(
-              "query exceeded page-access budget of " +
-              std::to_string(options_.guards.max_pages) + " pages"));
-          return false;
-        }
-      }
-      if (options_.guards.max_rows > 0) {
-        const int64_t total =
-            shared.rows.fetch_add(emitted, std::memory_order_relaxed) +
-            emitted;
-        if (total > options_.guards.max_rows) {
-          shared.Fail(Status::ResourceExhausted(
-              "query exceeded row budget of " +
-              std::to_string(options_.guards.max_rows) + " rows"));
-          return false;
-        }
-      }
-      return true;
-    };
-
-    RecordBatch batch(options_.batch_capacity);
-    if (!probed) {
-      const Span emit = unit.emit;
-      while (!shared.stop.load(std::memory_order_relaxed)) {
-        if (root->NextBatch(&batch) == 0) break;
-        if (ctx.failed()) break;
-        int64_t emitted = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < emit.start || batch.pos(i) > emit.end) continue;
-          out.emplace_back();
-          PosRecord& pr = out.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-          ++emitted;
-        }
-        mstats.records_output += emitted;
-        if (!account(emitted)) break;
-      }
-    } else {
-      auto probe_chunk = [&](std::span<const Position> chunk) {
-        const size_t n = root->ProbeBatch(chunk, &batch);
-        if (ctx.failed()) return false;
-        for (size_t i = 0; i < n; ++i) {
-          out.emplace_back();
-          PosRecord& pr = out.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-        }
-        mstats.records_output += static_cast<int64_t>(n);
-        return account(static_cast<int64_t>(n));
-      };
-      if (probed_list) {
-        std::span<const Position> all(plan.positions);
-        for (size_t off = unit.pos_begin;
-             off < unit.pos_end &&
-             !shared.stop.load(std::memory_order_relaxed);
-             off += options_.batch_capacity) {
-          if (!probe_chunk(all.subspan(
-                  off,
-                  std::min(options_.batch_capacity, unit.pos_end - off)))) {
-            break;
-          }
-        }
-      } else {
-        std::vector<Position> chunk;
-        chunk.reserve(options_.batch_capacity);
-        Position p = unit.emit.start;
-        while (p <= unit.emit.end &&
-               !shared.stop.load(std::memory_order_relaxed)) {
-          chunk.clear();
-          while (chunk.size() < options_.batch_capacity &&
-                 p <= unit.emit.end) {
-            chunk.push_back(p++);
-          }
-          if (!probe_chunk(chunk)) break;
-        }
-      }
-    }
-    root->Close();
-    Status err = ctx.TakeError();
-    if (!err.ok()) shared.Fail(std::move(err));
-    if (telem != nullptr && extras == nullptr) {
+    ExecContext ctx = UnitContext(&slot.stats, *shared);
+    ctx.faults = nullptr;  // an armed injector forces serial driving
+    ctx.guards.cancel = &shared->stop;
+    CollectRows collect{&slot.records};
+    Drive(units[ui], plan.root_mode, &ctx, shared,
+          root_profile != nullptr ? &slot.profile : nullptr, collect);
+    if (telem != nullptr && count_morsels) {
       telem->morsels_done.fetch_add(1, std::memory_order_relaxed);
     }
     morsel_counter.Add();
@@ -1527,43 +1625,24 @@ Result<QueryResult> Executor::ExecuteParallelInner(
             std::chrono::steady_clock::now() - unit_start)
             .count());
   };
-
-  // All morsels run on the process-wide scheduler pool: this query's
-  // units form one task group, dispatched FIFO with at most mp.workers
-  // (the per-query share cap) scheduler workers on it at once. The
-  // coordinating thread waits at the group barrier — it does not execute
-  // units — and forwards the caller's cancellation flag to workers (which
-  // watch shared.stop) from the scheduler's wait/poll loop.
-  {
-    auto scheduled_unit = [&](size_t ui) {
-      if (telem != nullptr) {
-        telem->workers.fetch_add(1, std::memory_order_relaxed);
-      }
-      run_unit(ui);
-      if (telem != nullptr) {
-        telem->workers.fetch_sub(1, std::memory_order_relaxed);
+  std::function<void()> poll;
+  if (options_.guards.cancel != nullptr) {
+    const std::atomic<bool>* user_cancel = options_.guards.cancel;
+    poll = [shared, user_cancel] {
+      if (user_cancel->load(std::memory_order_relaxed) &&
+          !shared->stop.load(std::memory_order_relaxed)) {
+        shared->Fail(Status::Cancelled("query cancelled by driver"));
       }
     };
-    std::function<void()> poll;
-    if (options_.guards.cancel != nullptr) {
-      const std::atomic<bool>* user_cancel = options_.guards.cancel;
-      poll = [&shared, user_cancel] {
-        if (user_cancel->load(std::memory_order_relaxed) &&
-            !shared.stop.load(std::memory_order_relaxed)) {
-          shared.Fail(Status::Cancelled("query cancelled by driver"));
-        }
-      };
-    }
-    sched.RunGroup(n_units, mp.workers, options_.priority, scheduled_unit,
-                   poll);
   }
+  sched.RunGroup(n_units, mp.workers, options_.priority, run_unit, poll);
   // Free the admission slot before the merge barrier: the next queued
   // query can start while we assemble this one's result.
   admission.Release();
 
   // Barrier merges, always in unit (= position) order so every total is
-  // deterministic, and merged even on failure — the serial path also
-  // leaves partial charges in the caller's stats block.
+  // deterministic, and merged even on failure — a serial run also leaves
+  // partial charges in the caller's stats block.
   if (stats != nullptr) {
     for (const UnitSlot& slot : slots) stats->Merge(slot.stats);
   }
@@ -1575,7 +1654,7 @@ Result<QueryResult> Executor::ExecuteParallelInner(
       }
     }
   }
-  SEQ_RETURN_IF_ERROR(shared.TakeStatus());
+  SEQ_RETURN_IF_ERROR(shared->TakeStatus());
 
   QueryResult result;
   result.schema = plan.schema;
@@ -1588,156 +1667,53 @@ Result<QueryResult> Executor::ExecuteParallelInner(
   return result;
 }
 
-Result<QueryResult> Executor::Execute(const PhysicalPlan& plan,
-                                      AccessStats* stats) const {
-  return ExecuteImpl(plan, stats, nullptr);
+Result<QueryResult> Executor::Materialize(const PhysicalPlan& plan,
+                                          AccessStats* stats,
+                                          OperatorProfile* root_profile)
+    const {
+  if (options_.parallelism > 1) {
+    const MorselPlan morsels = PlanMorsels(plan);
+    if (morsels.parallel) {
+      // The wall-clock budget runs from BEFORE admission, so a query that
+      // queues never gets more total wall time than an uncontended one.
+      SharedGuardState shared;
+      shared.deadline = DeadlineIn(options_.guards.max_wall_ms);
+      return RunMorsels(plan, morsels, Span::Unbounded(), &shared, stats,
+                        root_profile, /*count_morsels=*/true);
+    }
+  }
+  QueryResult result;
+  result.schema = plan.schema;
+  // Pre-size a stream result from the optimizer's row estimate (capped so a
+  // wild overestimate cannot balloon the allocation).
+  if (plan.root != nullptr && plan.root_mode == AccessMode::kStream) {
+    const double est = plan.root->EstRows();
+    if (est > 0) {
+      result.records.reserve(
+          std::min(static_cast<size_t>(est) + 16, size_t{1} << 20));
+    }
+  }
+  // A mid-stream fault or budget trip discards the whole partial result:
+  // Execute never returns truncated answers.
+  CollectRows collect{&result.records};
+  SEQ_RETURN_IF_ERROR(RunInline(plan, stats, root_profile, collect));
+  return result;
 }
 
+Result<QueryResult> Executor::Execute(const PhysicalPlan& plan,
+                                      AccessStats* stats) const {
+  return Materialize(plan, stats, nullptr);
+}
+
+// Sink runs stream serially whatever `parallelism` is: the sink sees each
+// row in position order while the query runs. Rows already handed to the
+// sink before a mid-stream error or budget trip have been seen — streaming
+// consumption cannot take them back; the returned status still reports
+// the failure (docs/robustness.md).
 Status Executor::ExecuteVisit(const PhysicalPlan& plan, const RowSink& sink,
                               AccessStats* stats) const {
-  if (plan.root == nullptr) {
-    return Status::InvalidArgument("plan has no root");
-  }
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.stats = stats;
-  ctx.params = params_;
-  ctx.faults = options_.fault_injector;
-  ctx.guards = options_.guards;
-  ctx.ArmGuards();
-  // The page budget is counted from AccessStats, and live telemetry reads
-  // its page charges from there too — so install a local block even when
-  // the caller did not ask for stats.
-  AccessStats guard_stats;
-  if ((ctx.guards.max_pages > 0 || options_.telemetry != nullptr) &&
-      stats == nullptr) {
-    ctx.stats = &guard_stats;
-  }
-
-  SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(plan.root, nullptr));
-  SEQ_RETURN_IF_ERROR(root->Open(&ctx));
-  TelemetryReporter telem(options_.telemetry, ctx.stats);
-
-  // Rows already handed to the sink before a mid-stream error or budget
-  // trip have been seen — streaming consumption cannot take them back. The
-  // returned status still reports the failure; see docs/robustness.md.
-  int64_t emitted = 0;
-  Status guard_status;
-
-  if (plan.root_mode == AccessMode::kStream) {
-    const Span range = plan.output_span;
-    if (!range.IsEmpty() && options_.use_batch && plan.positions.empty()) {
-      // Batch driving: rows are visited in their pipeline slot buffers —
-      // no per-row materialization anywhere on this path.
-      RecordBatch batch(options_.batch_capacity);
-      while (root->NextBatch(&batch) > 0) {
-        if (ctx.failed()) break;
-        int64_t batch_emitted = 0;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < range.start || batch.pos(i) > range.end) {
-            continue;
-          }
-          sink(batch.pos(i), batch.rec(i));
-          ++batch_emitted;
-        }
-        if (stats != nullptr) stats->records_output += batch_emitted;
-        emitted += batch_emitted;
-        telem.Report(batch_emitted);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-      }
-    } else if (!range.IsEmpty()) {
-      size_t next_wanted = 0;
-      std::optional<PosRecord> r = root->NextAtOrAfter(range.start);
-      while (r.has_value() && r->pos <= range.end) {
-        if (ctx.failed()) break;
-        bool wanted = true;
-        if (!plan.positions.empty()) {
-          while (next_wanted < plan.positions.size() &&
-                 plan.positions[next_wanted] < r->pos) {
-            ++next_wanted;
-          }
-          wanted = next_wanted < plan.positions.size() &&
-                   plan.positions[next_wanted] == r->pos;
-        }
-        if (wanted) {
-          sink(r->pos, r->rec);
-          if (stats != nullptr) ++stats->records_output;
-          ++emitted;
-        }
-        telem.Report(wanted ? 1 : 0);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-        r = root->Next();
-      }
-    }
-    root->Close();
-    SEQ_RETURN_IF_ERROR(ctx.TakeError());
-    return guard_status;
-  }
-
-  // Probed driving.
-  if (options_.use_batch) {
-    RecordBatch batch(options_.batch_capacity);
-    // Returns false when a fault or budget stops the query.
-    auto probe_chunk = [&](std::span<const Position> chunk) {
-      size_t n = root->ProbeBatch(chunk, &batch);
-      if (ctx.failed()) return false;
-      for (size_t i = 0; i < n; ++i) sink(batch.pos(i), batch.rec(i));
-      if (stats != nullptr) stats->records_output += static_cast<int64_t>(n);
-      emitted += static_cast<int64_t>(n);
-      telem.Report(static_cast<int64_t>(n));
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      std::span<const Position> all(plan.positions);
-      for (size_t off = 0; off < all.size(); off += options_.batch_capacity) {
-        if (!probe_chunk(all.subspan(
-                off, std::min(options_.batch_capacity, all.size() - off)))) {
-          break;
-        }
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      std::vector<Position> chunk;
-      chunk.reserve(options_.batch_capacity);
-      Position p = plan.output_span.start;
-      while (p <= plan.output_span.end) {
-        chunk.clear();
-        while (chunk.size() < options_.batch_capacity &&
-               p <= plan.output_span.end) {
-          chunk.push_back(p++);
-        }
-        if (!probe_chunk(chunk)) break;
-      }
-    }
-  } else {
-    auto probe_one = [&](Position p) {
-      std::optional<Record> r = root->Probe(p);
-      if (ctx.failed()) return false;
-      if (r.has_value()) {
-        sink(p, *r);
-        if (stats != nullptr) ++stats->records_output;
-        ++emitted;
-      }
-      telem.Report(r.has_value() ? 1 : 0);
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      for (Position p : plan.positions) {
-        if (!probe_one(p)) break;
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      for (Position p = plan.output_span.start; p <= plan.output_span.end;
-           ++p) {
-        if (!probe_one(p)) break;
-      }
-    }
-  }
-  root->Close();
-  SEQ_RETURN_IF_ERROR(ctx.TakeError());
-  return guard_status;
+  VisitRows visit{&sink};
+  return RunInline(plan, stats, nullptr, visit);
 }
 
 Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
@@ -1746,8 +1722,8 @@ Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
   SEQ_CHECK(profile != nullptr);
   profile->Reset();
 
-  // The Start operator (the driving loop below) gets the root profile
-  // node; the plan tree hangs under it.
+  // The Start operator (the driving loop) gets the root profile node; the
+  // plan tree hangs under it.
   OperatorProfile& root = *profile->root;
   {
     std::ostringstream oss;
@@ -1774,7 +1750,7 @@ Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
   // one: the wrappers read simulated-cost / cache-counter deltas from it.
   AccessStats local;
   auto start = std::chrono::steady_clock::now();
-  Result<QueryResult> result = ExecuteImpl(plan, &local, &root);
+  Result<QueryResult> result = Materialize(plan, &local, &root);
   int64_t wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();
@@ -1793,193 +1769,6 @@ Result<QueryResult> Executor::ExecuteProfiled(const PhysicalPlan& plan,
   return result;
 }
 
-Result<QueryResult> Executor::ExecuteImpl(const PhysicalPlan& plan,
-                                          AccessStats* stats,
-                                          OperatorProfile* root_profile)
-    const {
-  if (plan.root == nullptr) {
-    return Status::InvalidArgument("plan has no root");
-  }
-  if (options_.parallelism > 1) {
-    const MorselPlan morsels = PlanMorsels(plan);
-    if (morsels.parallel) {
-      return ExecuteParallel(plan, morsels, stats, root_profile);
-    }
-  }
-  ExecContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.stats = stats;
-  ctx.params = params_;
-  ctx.faults = options_.fault_injector;
-  ctx.guards = options_.guards;
-  ctx.ArmGuards();
-  // The page budget is counted from AccessStats, and live telemetry reads
-  // its page charges from there too — so install a local block even when
-  // the caller did not ask for stats.
-  AccessStats guard_stats;
-  if ((ctx.guards.max_pages > 0 || options_.telemetry != nullptr) &&
-      stats == nullptr) {
-    ctx.stats = &guard_stats;
-  }
-
-  QueryResult result;
-  result.schema = plan.schema;
-
-  // Running root-row count for the row budget; a mid-stream fault or
-  // budget trip discards the whole partial result — Execute never returns
-  // truncated answers.
-  int64_t emitted = 0;
-  Status guard_status;
-
-  SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(plan.root, root_profile));
-  SEQ_RETURN_IF_ERROR(root->Open(&ctx));
-  TelemetryReporter telem(options_.telemetry, ctx.stats);
-
-  if (plan.root_mode == AccessMode::kStream) {
-    const Span range = plan.output_span;
-    // Pre-size the result from the optimizer's row estimate (capped so a
-    // wild overestimate cannot balloon the allocation).
-    double est = plan.root->EstRows();
-    if (est > 0) {
-      result.records.reserve(std::min(static_cast<size_t>(est) + 16,
-                                      size_t{1} << 20));
-    }
-    if (!range.IsEmpty() && options_.use_batch && plan.positions.empty()) {
-      // Batch driving. The optimizer clips every node's required span to
-      // the requested range, so the root never emits outside [range.start,
-      // range.end]; the bounds check below is purely defensive. Records
-      // are materialized by moving the *values* out of the batch slots —
-      // stealing the slot vectors themselves would drain the pipeline's
-      // reusable buffers and reintroduce a per-row allocation upstream.
-      RecordBatch batch(options_.batch_capacity);
-      while (root->NextBatch(&batch) > 0) {
-        if (ctx.failed()) break;
-        size_t before = result.records.size();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (batch.pos(i) < range.start || batch.pos(i) > range.end) {
-            continue;
-          }
-          result.records.emplace_back();
-          PosRecord& pr = result.records.back();
-          pr.pos = batch.pos(i);
-          MoveRecordValues(pr.rec, batch.rec(i));
-        }
-        if (stats != nullptr) {
-          stats->records_output +=
-              static_cast<int64_t>(result.records.size() - before);
-        }
-        emitted += static_cast<int64_t>(result.records.size() - before);
-        telem.Report(static_cast<int64_t>(result.records.size() - before));
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-      }
-    } else if (!range.IsEmpty()) {
-      // Point queries served by a stream plan filter to the requested
-      // positions during the scan.
-      size_t next_wanted = 0;
-      std::optional<PosRecord> r = root->NextAtOrAfter(range.start);
-      while (r.has_value() && r->pos <= range.end) {
-        if (ctx.failed()) break;
-        bool wanted = true;
-        if (!plan.positions.empty()) {
-          while (next_wanted < plan.positions.size() &&
-                 plan.positions[next_wanted] < r->pos) {
-            ++next_wanted;
-          }
-          wanted = next_wanted < plan.positions.size() &&
-                   plan.positions[next_wanted] == r->pos;
-        }
-        if (wanted) {
-          result.records.push_back(std::move(*r));
-          if (stats != nullptr) ++stats->records_output;
-          ++emitted;
-        }
-        telem.Report(wanted ? 1 : 0);
-        guard_status = ctx.CheckGuards(emitted);
-        if (!guard_status.ok()) break;
-        r = root->Next();
-      }
-    }
-    root->Close();
-    SEQ_RETURN_IF_ERROR(ctx.TakeError());
-    SEQ_RETURN_IF_ERROR(guard_status);
-    return result;
-  }
-
-  // Probed driving (Fig. 6): probe the requested positions, or every
-  // position of the range when none were listed. Batch driving chunks the
-  // (strictly ascending) position list through ProbeBatch; the probe sets
-  // are identical to the tuple loop, so AccessStats parity holds here for
-  // the same reason it does on the stream side.
-  if (options_.use_batch) {
-    RecordBatch batch(options_.batch_capacity);
-    // Returns false when a fault or budget stops the query.
-    auto probe_chunk = [&](std::span<const Position> chunk) {
-      size_t n = root->ProbeBatch(chunk, &batch);
-      if (ctx.failed()) return false;
-      for (size_t i = 0; i < n; ++i) {
-        result.records.emplace_back();
-        PosRecord& pr = result.records.back();
-        pr.pos = batch.pos(i);
-        MoveRecordValues(pr.rec, batch.rec(i));
-      }
-      if (stats != nullptr) stats->records_output += static_cast<int64_t>(n);
-      emitted += static_cast<int64_t>(n);
-      telem.Report(static_cast<int64_t>(n));
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      std::span<const Position> all(plan.positions);
-      for (size_t off = 0; off < all.size(); off += options_.batch_capacity) {
-        if (!probe_chunk(all.subspan(
-                off, std::min(options_.batch_capacity, all.size() - off)))) {
-          break;
-        }
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      std::vector<Position> chunk;
-      chunk.reserve(options_.batch_capacity);
-      Position p = plan.output_span.start;
-      while (p <= plan.output_span.end) {
-        chunk.clear();
-        while (chunk.size() < options_.batch_capacity &&
-               p <= plan.output_span.end) {
-          chunk.push_back(p++);
-        }
-        if (!probe_chunk(chunk)) break;
-      }
-    }
-  } else {
-    auto probe_one = [&](Position p) {
-      std::optional<Record> r = root->Probe(p);
-      if (ctx.failed()) return false;
-      if (r.has_value()) {
-        result.records.push_back(PosRecord{p, std::move(*r)});
-        if (stats != nullptr) ++stats->records_output;
-        ++emitted;
-      }
-      telem.Report(r.has_value() ? 1 : 0);
-      guard_status = ctx.CheckGuards(emitted);
-      return guard_status.ok();
-    };
-    if (!plan.positions.empty()) {
-      for (Position p : plan.positions) {
-        if (!probe_one(p)) break;
-      }
-    } else if (!plan.output_span.IsEmpty()) {
-      for (Position p = plan.output_span.start; p <= plan.output_span.end;
-           ++p) {
-        if (!probe_one(p)) break;
-      }
-    }
-  }
-  root->Close();
-  SEQ_RETURN_IF_ERROR(ctx.TakeError());
-  SEQ_RETURN_IF_ERROR(guard_status);
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Checkpointable execution (docs/robustness.md).
 //
@@ -1992,12 +1781,13 @@ Result<QueryResult> Executor::ExecuteImpl(const PhysicalPlan& plan,
 // chunk sequence — and therefore the exact floating-point charge order —
 // of an uninterrupted checkpointed run.
 //
-// Serial chunks carry aggregate state across boundaries by SaveState/
-// RestoreState injection (carry subtrees suppressed). Parallel chunks
-// (stream, batch, no fault injector) rebuild state per sub-morsel with
-// uncharged carries — the PR5 parity mechanism — and never save state.
-// Probed chunks always run serial: probes are stateless per position, so
-// rebuilding the tree per chunk charges nothing extra.
+// Each chunk is one call of the driver. Serial chunks carry aggregate
+// state across boundaries by SaveState/RestoreState injection (carry
+// subtrees suppressed). Parallel chunks (stream, batch, no fault injector)
+// run as a morsel group that rebuilds state per sub-morsel with uncharged
+// carries, and never save state. Probed chunks always run serial: probes
+// are stateless per position, so rebuilding the tree per chunk charges
+// nothing extra.
 // ---------------------------------------------------------------------------
 
 Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
@@ -2016,7 +1806,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
   // are ignored and the reason is reported through the capture.
   auto fallback = [&](std::string why) -> Result<QueryResult> {
     capture->not_chunkable_reason = std::move(why);
-    return ExecuteImpl(plan, stats, nullptr);
+    return Materialize(plan, stats, nullptr);
   };
 
   const bool probed = plan.root_mode == AccessMode::kProbed;
@@ -2041,8 +1831,12 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
     if (!spine.ok) return fallback(spine.reason);
   }
 
+  const bool parallel_chunks = !probed && options_.parallelism > 1 &&
+                               options_.use_batch &&
+                               options_.fault_injector == nullptr;
+  const int64_t workers = std::max(options_.parallelism, 1);
   EarlyStops stops;
-  if (!probed) {
+  if (!probed && !parallel_chunks) {
     SEQ_RETURN_IF_ERROR(FindEarlyStops(this, plan.root, EdgeContext(), &stops));
   }
 
@@ -2055,27 +1849,14 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
       ck.resume != nullptr && ck.resume->chunk_len > 0
           ? ck.resume->chunk_len
           : (ck.chunk > 0 ? ck.chunk : DefaultCheckpointChunk());
-
-  std::vector<Position> starts;  // span grids (stream + probed span walk)
-  size_t n_chunks;
+  std::vector<Span> grid;                         // stream, probed span walk
+  std::vector<std::span<const Position>> slices;  // probed position list
   if (probed_list) {
-    const int64_t n = static_cast<int64_t>(plan.positions.size());
-    n_chunks = static_cast<size_t>((n + chunk_len - 1) / chunk_len);
+    slices = SplitList(plan.positions, static_cast<size_t>(chunk_len));
   } else {
-    starts.push_back(span.start);
-    const int64_t len = span.Length();
-    const int64_t grid_points = (len + chunk_len - 1) / chunk_len;
-    for (int64_t k = 1; k < grid_points; ++k) {
-      Position b = span.start + k * chunk_len;
-      if (!probed && spine.modulus > 1) {
-        b += Mod(spine.phase - b, spine.modulus);
-      }
-      if (b <= starts.back()) continue;
-      if (b > span.end) break;
-      starts.push_back(b);
-    }
-    n_chunks = starts.size();
+    grid = SplitSpan(span, chunk_len, spine);
   }
+  const size_t n_chunks = probed_list ? slices.size() : grid.size();
 
   // Seed the prefix from a prior checkpoint. The wall-clock budget is
   // armed fresh per run — a resumed query gets a full max_wall_ms again,
@@ -2101,37 +1882,25 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
       }
       first_chunk = static_cast<size_t>(rs.next_index / chunk_len);
     } else {
-      size_t found = n_chunks;
-      for (size_t i = 0; i < n_chunks; ++i) {
-        if (starts[i] == rs.watermark) {
-          found = i;
-          break;
-        }
-      }
-      if (found == n_chunks) {
+      auto at = std::find_if(grid.begin(), grid.end(), [&](const Span& c) {
+        return c.start == rs.watermark;
+      });
+      if (at == grid.end()) {
         return Status::FailedPrecondition(
             "checkpoint watermark " + std::to_string(rs.watermark) +
             " does not lie on the chunk grid of " + span.ToString() +
             " (chunk length " + std::to_string(chunk_len) + ")");
       }
-      first_chunk = found;
+      first_chunk = static_cast<size_t>(at - grid.begin());
     }
     total = rs.stats;
     result.records = std::move(rs.rows);
     blob = std::move(rs.op_state);
   }
 
-  std::chrono::steady_clock::time_point deadline{};
-  const bool has_deadline = options_.guards.max_wall_ms > 0;
-  if (has_deadline) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(options_.guards.max_wall_ms);
-  }
-
-  const bool parallel_chunks = !probed && options_.parallelism > 1 &&
-                               options_.use_batch &&
-                               options_.fault_injector == nullptr;
-  const int workers = std::max(options_.parallelism, 1);
+  // One deadline for the whole run, armed before chunk 0.
+  const std::optional<std::chrono::steady_clock::time_point> deadline =
+      DeadlineIn(options_.guards.max_wall_ms);
 
   QueryTelemetry* telem = options_.telemetry;
   if (telem != nullptr) {
@@ -2141,250 +1910,65 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
                               std::memory_order_relaxed);
   }
 
-  // Whole-query budget check against the running totals plus the current
-  // chunk's charges, in the serial CheckGuards order (cancel, deadline,
-  // pages, rows) with the serial messages — so a checkpointed run trips
-  // at exactly the same point, with the same status, as a plain one.
-  auto over_budget = [&](ExecContext* ctx, const AccessStats& cs,
-                         size_t chunk_rows) -> Status {
-    Status g = ctx->CheckGuards(0);  // cancel + deadline
-    if (!g.ok()) return g;
-    if (options_.guards.max_pages > 0) {
-      const int64_t pages = total.stream_pages + total.probe_pages +
-                            cs.stream_pages + cs.probe_pages;
-      if (pages > options_.guards.max_pages) {
-        return Status::ResourceExhausted(
-            "query exceeded page-access budget of " +
-            std::to_string(options_.guards.max_pages) + " pages");
-      }
-    }
-    if (options_.guards.max_rows > 0) {
-      const int64_t rows =
-          static_cast<int64_t>(result.records.size() + chunk_rows);
-      if (rows > options_.guards.max_rows) {
-        return Status::ResourceExhausted(
-            "query exceeded row budget of " +
-            std::to_string(options_.guards.max_rows) + " rows");
-      }
-    }
-    return Status::OK();
-  };
-
-  // One serial chunk: chunk-local rows and charges merge into the running
-  // totals only when the chunk completes, so a failed or parked chunk
-  // leaves the prefix exactly at the last boundary.
-  auto run_chunk_serial = [&](size_t i) -> Status {
-    std::vector<PosRecord> rows;
+  // One chunk. Its rows and charges merge into the running totals only
+  // when it completes, so a failed or parked chunk leaves the prefix
+  // exactly at the last boundary. The budgets start from what earlier
+  // chunks spent, so a checkpointed run trips at exactly the totals of an
+  // uninterrupted one.
+  auto run_chunk = [&](size_t i) -> Status {
+    SharedGuardState shared;
+    shared.rows.store(static_cast<int64_t>(result.records.size()),
+                      std::memory_order_relaxed);
+    shared.pages.store(total.stream_pages + total.probe_pages,
+                       std::memory_order_relaxed);
+    shared.deadline = deadline;
     AccessStats cs;
-    ExecContext ctx;
-    ctx.catalog = &catalog_;
-    ctx.stats = &cs;
-    ctx.params = params_;
-    ctx.faults = options_.fault_injector;
-    ctx.guards = options_.guards;
-    // Rows and pages are whole-query budgets enforced by over_budget; the
-    // context keeps cancel, the shared deadline and the cache budget.
-    ctx.guards.max_rows = 0;
-    ctx.guards.max_pages = 0;
-    if (has_deadline) ctx.ArmGuardsAt(deadline);
-
-    const bool inject = !probed && i > 0 && !blob.empty();
-    PhysNodePtr node = plan.root;
-    Span emit = Span::Empty();
-    if (!probed_list) {
-      emit = Span::Of(starts[i],
-                      i + 1 < n_chunks ? starts[i + 1] - 1 : span.end);
-    }
-    if (!probed) {
-      const Position clip_lo = i == 0 ? kMinPosition : emit.start;
-      const Position clip_hi = i + 1 == n_chunks ? kMaxPosition : emit.end;
-      // An injected chunk suppresses carry-in subtrees (state arrives from
-      // the blob); an empty blob past chunk 0 — a checkpoint written by a
-      // parallel run, or a stateless tree — rebuilds via carries instead.
-      node = CloneForMorsel(plan.root, clip_lo, clip_hi,
-                            CloneMode{/*with_carry=*/!inject, &stops});
-    }
-    SEQ_ASSIGN_OR_RETURN(SeqOpPtr root, Build(node, nullptr));
-    SEQ_RETURN_IF_ERROR(root->Open(&ctx));
-    if (inject) {
-      OpStateReader reader(blob);
-      if (!root->RestoreState(&reader) || !reader.Exhausted()) {
-        root->Close();
-        return Status::DataLoss(
-            "checkpoint operator state does not match the plan shape");
-      }
-    }
-    TelemetryReporter treport(telem, &cs);
-    Status guard_status;
-
-    if (!probed) {
-      if (options_.use_batch) {
-        RecordBatch batch(options_.batch_capacity);
-        while (root->NextBatch(&batch) > 0) {
-          if (ctx.failed()) break;
-          int64_t emitted = 0;
-          for (size_t bi = 0; bi < batch.size(); ++bi) {
-            if (batch.pos(bi) < emit.start || batch.pos(bi) > emit.end) {
-              continue;
-            }
-            rows.emplace_back();
-            PosRecord& pr = rows.back();
-            pr.pos = batch.pos(bi);
-            MoveRecordValues(pr.rec, batch.rec(bi));
-            ++emitted;
-          }
-          cs.records_output += emitted;
-          treport.Report(emitted);
-          guard_status = over_budget(&ctx, cs, rows.size());
-          if (!guard_status.ok()) break;
-        }
-      } else {
-        std::optional<PosRecord> r = root->NextAtOrAfter(emit.start);
-        while (r.has_value() && r->pos <= emit.end) {
-          if (ctx.failed()) break;
-          rows.push_back(std::move(*r));
-          ++cs.records_output;
-          treport.Report(1);
-          guard_status = over_budget(&ctx, cs, rows.size());
-          if (!guard_status.ok()) break;
-          r = root->Next();
-        }
-      }
-    } else if (options_.use_batch) {
-      RecordBatch batch(options_.batch_capacity);
-      auto probe_chunk = [&](std::span<const Position> chunk) {
-        const size_t n = root->ProbeBatch(chunk, &batch);
-        if (ctx.failed()) return false;
-        for (size_t bi = 0; bi < n; ++bi) {
-          rows.emplace_back();
-          PosRecord& pr = rows.back();
-          pr.pos = batch.pos(bi);
-          MoveRecordValues(pr.rec, batch.rec(bi));
-        }
-        cs.records_output += static_cast<int64_t>(n);
-        treport.Report(static_cast<int64_t>(n));
-        guard_status = over_budget(&ctx, cs, rows.size());
-        return guard_status.ok();
-      };
-      if (probed_list) {
-        std::span<const Position> all(plan.positions);
-        const size_t pos_begin = i * static_cast<size_t>(chunk_len);
-        const size_t pos_end =
-            std::min(all.size(), pos_begin + static_cast<size_t>(chunk_len));
-        for (size_t off = pos_begin; off < pos_end;
-             off += options_.batch_capacity) {
-          if (!probe_chunk(all.subspan(
-                  off, std::min(options_.batch_capacity, pos_end - off)))) {
-            break;
-          }
-        }
-      } else {
-        std::vector<Position> chunk;
-        chunk.reserve(options_.batch_capacity);
-        Position p = emit.start;
-        while (p <= emit.end) {
-          chunk.clear();
-          while (chunk.size() < options_.batch_capacity && p <= emit.end) {
-            chunk.push_back(p++);
-          }
-          if (!probe_chunk(chunk)) break;
-        }
-      }
-    } else {
-      auto probe_one = [&](Position p) {
-        std::optional<Record> r = root->Probe(p);
-        if (ctx.failed()) return false;
-        if (r.has_value()) {
-          rows.push_back(PosRecord{p, std::move(*r)});
-          ++cs.records_output;
-        }
-        treport.Report(r.has_value() ? 1 : 0);
-        guard_status = over_budget(&ctx, cs, rows.size());
-        return guard_status.ok();
-      };
-      if (probed_list) {
-        const size_t pos_begin = i * static_cast<size_t>(chunk_len);
-        const size_t pos_end = std::min(
-            plan.positions.size(), pos_begin + static_cast<size_t>(chunk_len));
-        for (size_t off = pos_begin; off < pos_end; ++off) {
-          if (!probe_one(plan.positions[off])) break;
-        }
-      } else {
-        for (Position p = emit.start; p <= emit.end; ++p) {
-          if (!probe_one(p)) break;
-        }
-      }
-    }
-
-    // Save operator state BEFORE Close: the next serial chunk (and any
-    // checkpoint written at the next boundary) restores from this blob.
+    std::vector<PosRecord> rows;
     std::string new_blob;
-    if (guard_status.ok() && !ctx.failed() && !probed) {
-      OpStateWriter writer;
-      root->SaveState(&writer);
-      new_blob = writer.blob();
+    const Span emit = probed_list ? Span::Empty() : grid[i];
+    const Span clip =
+        Span::Of(i == 0 ? kMinPosition : emit.start,
+                 i + 1 == n_chunks ? kMaxPosition : emit.end);
+    if (parallel_chunks) {
+      // A morsel group over the chunk, sub-split in the plan's alignment
+      // class and cloned DIRECTLY from the original root — never from
+      // another clone, which would stack carry subtrees onto
+      // already-carried aggregates. Admission is re-acquired per chunk, so
+      // a checkpointed query yields its slot between chunks.
+      MorselPlan cmp;
+      cmp.morsels = SplitSpan(emit, CeilDiv(emit.Length(), workers), spine);
+      cmp.workers = static_cast<int>(
+          std::min<size_t>(static_cast<size_t>(workers), cmp.morsels.size()));
+      SEQ_ASSIGN_OR_RETURN(QueryResult group,
+                           RunMorsels(plan, cmp, clip, &shared, &cs, nullptr,
+                                      /*count_morsels=*/false));
+      rows = std::move(group.records);
+    } else {
+      Unit unit;
+      unit.node = plan.root;
+      unit.emit = emit;
+      if (probed_list) unit.positions = slices[i];
+      if (!probed) {
+        // An injected chunk suppresses carry-in subtrees (state arrives
+        // from the blob); an empty blob past chunk 0 — a checkpoint written
+        // by a parallel run, or a stateless tree — rebuilds via carries.
+        const bool inject = i > 0 && !blob.empty();
+        unit.node = CloneForMorsel(plan.root, clip.start, clip.end,
+                                   CloneMode{/*with_carry=*/!inject, &stops});
+        if (inject) unit.restore = &blob;
+        unit.save = &new_blob;
+      }
+      ExecContext ctx = UnitContext(&cs, shared);
+      CollectRows collect{&rows};
+      Drive(unit, plan.root_mode, &ctx, &shared, nullptr, collect);
+      SEQ_RETURN_IF_ERROR(shared.TakeStatus());
     }
-    root->Close();
-    SEQ_RETURN_IF_ERROR(ctx.TakeError());
-    SEQ_RETURN_IF_ERROR(guard_status);
-
     total.Merge(cs);
     result.records.reserve(result.records.size() + rows.size());
     for (PosRecord& r : rows) result.records.push_back(std::move(r));
+    // After a morsel group the blob is empty: carries rebuild state at the
+    // next chunk, and an older blob is stale behind the watermark.
     blob = std::move(new_blob);
-    return Status::OK();
-  };
-
-  // One parallel chunk: a mini morsel group over [starts[i], chunk end],
-  // sub-split in the plan's alignment class and cloned DIRECTLY from the
-  // original root — never from another clone, which would stack carry
-  // subtrees onto already-carried aggregates. Admission is re-acquired
-  // per chunk, so a checkpointed query naturally yields its slot between
-  // chunks.
-  auto run_chunk_parallel = [&](size_t i) -> Status {
-    const Position lo = starts[i];
-    const Position hi = i + 1 < n_chunks ? starts[i + 1] - 1 : span.end;
-    std::vector<Position> sub;
-    sub.push_back(lo);
-    const int64_t clen = hi - lo + 1;
-    const int64_t step = (clen + workers - 1) / workers;
-    for (int64_t k = 1; k < workers; ++k) {
-      Position b = lo + k * step;
-      if (spine.modulus > 1) b += Mod(spine.phase - b, spine.modulus);
-      if (b <= sub.back()) continue;
-      if (b > hi) break;
-      sub.push_back(b);
-    }
-    MorselPlan cmp;
-    cmp.parallel = true;
-    cmp.workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(workers), sub.size()));
-    cmp.reason = "checkpoint chunk";
-    cmp.morsels.reserve(sub.size());
-    for (size_t k = 0; k < sub.size(); ++k) {
-      const Position e = k + 1 < sub.size() ? sub[k + 1] - 1 : hi;
-      cmp.morsels.push_back(Span::Of(sub[k], e));
-    }
-
-    ChunkExtras extras;
-    extras.clip_lo = i == 0 ? kMinPosition : lo;
-    extras.clip_hi = i + 1 == n_chunks ? kMaxPosition : hi;
-    extras.base_rows = static_cast<int64_t>(result.records.size());
-    extras.base_pages = total.stream_pages + total.probe_pages;
-    extras.has_deadline = has_deadline;
-    extras.deadline = deadline;
-
-    AccessStats cs;
-    Result<QueryResult> r =
-        ExecuteParallelInner(plan, cmp, &cs, nullptr, &extras);
-    if (!r.ok()) return r.status();
-    total.Merge(cs);
-    QueryResult& qr = r.value();
-    result.records.reserve(result.records.size() + qr.records.size());
-    for (PosRecord& pr : qr.records) result.records.push_back(std::move(pr));
-    // Carries rebuild state at the next chunk; a blob from an earlier
-    // serial run is stale relative to the advancing watermark.
-    blob.clear();
     return Status::OK();
   };
 
@@ -2413,7 +1997,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
     capture->suspended = true;
     capture->reason = reason;
     capture->probed = probed;
-    capture->watermark = probed_list ? 0 : starts[i];
+    capture->watermark = probed_list ? 0 : grid[i].start;
     capture->next_index = probed_list ? static_cast<int64_t>(i) * chunk_len : 0;
     capture->chunks_done = static_cast<int64_t>(i);
     capture->chunk_len = chunk_len;
@@ -2429,7 +2013,7 @@ Result<QueryResult> Executor::ExecuteCheckpointed(const PhysicalPlan& plan,
       suspended.schema = plan.schema;
       return suspended;
     }
-    Status s = parallel_chunks ? run_chunk_parallel(i) : run_chunk_serial(i);
+    Status s = run_chunk(i);
     if (!s.ok()) {
       if (ck.park_on_cache_budget && IsCacheBudgetExceeded(s)) {
         // The tripping chunk's rows and charges were discarded above;

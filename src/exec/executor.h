@@ -1,7 +1,6 @@
 #ifndef SEQ_EXEC_EXECUTOR_H_
 #define SEQ_EXEC_EXECUTOR_H_
 
-#include <chrono>
 #include <functional>
 #include <optional>
 #include <string>
@@ -208,7 +207,7 @@ class Executor {
   /// The morsel-parallelism decision for `plan` under these options:
   /// whether it runs parallel, with how many workers over which morsels,
   /// and why. Pure and deterministic — the engine calls it to record the
-  /// decision, ExecuteImpl recomputes it to act on it.
+  /// decision, Execute recomputes it to act on it.
   MorselPlan PlanMorsels(const PhysicalPlan& plan) const;
 
  private:
@@ -239,39 +238,41 @@ class Executor {
   Result<SeqOpPtr> BuildExpand(const PhysNode& node,
                                OperatorProfile* prof) const;
 
-  Result<QueryResult> ExecuteImpl(const PhysicalPlan& plan,
+  // The driver (executor.cc). Every entry point runs a grid of Units —
+  // a node plus the span or position-list slice it drives — through the one
+  // driving loop, Drive, with one budget accountant per run
+  // (SharedGuardState). Execute and ExecuteVisit drive a one-unit grid on
+  // the calling thread; a morsel group schedules many units on the shared
+  // pool; a checkpointed run drives one chunk after another, serially or as
+  // a group.
+  struct Unit;
+  struct SharedGuardState;
+
+  template <class Consume>
+  void Drive(const Unit& unit, AccessMode mode, ExecContext* ctx,
+             SharedGuardState* shared, OperatorProfile* prof,
+             Consume& consume) const;
+
+  template <class Consume>
+  Status RunInline(const PhysicalPlan& plan, AccessStats* stats,
+                   OperatorProfile* root_profile, Consume& consume) const;
+
+  Result<QueryResult> Materialize(const PhysicalPlan& plan,
                                   AccessStats* stats,
                                   OperatorProfile* root_profile) const;
 
-  // Morsel-parallel driving (see docs/execution.md): independent operator
-  // trees per morsel, per-morsel AccessStats merged in morsel order,
-  // shared budget accounting at batch boundaries.
-  Result<QueryResult> ExecuteParallel(const PhysicalPlan& plan,
-                                      const MorselPlan& morsels,
-                                      AccessStats* stats,
-                                      OperatorProfile* root_profile) const;
+  Result<std::vector<Unit>> MorselUnits(const PhysicalPlan& plan,
+                                        const MorselPlan& morsels,
+                                        Span outer) const;
 
-  // Overrides applied when a morsel group executes ONE CHUNK of a
-  // checkpointed query rather than the whole plan: the outermost units are
-  // clipped at the chunk boundaries instead of left open (a middle chunk
-  // must not re-read the lead-in or run into the tail), whole-query row and
-  // page budgets start from what earlier chunks already spent, and the
-  // wall-clock deadline is the one computed before chunk 0, not a fresh
-  // one per chunk. Registry morsel telemetry is owned by the chunk driver.
-  struct ChunkExtras {
-    Position clip_lo = kMinPosition;
-    Position clip_hi = kMaxPosition;
-    int64_t base_rows = 0;
-    int64_t base_pages = 0;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline{};
-  };
+  Result<QueryResult> RunMorsels(const PhysicalPlan& plan,
+                                 const MorselPlan& morsels, Span outer,
+                                 SharedGuardState* shared, AccessStats* stats,
+                                 OperatorProfile* root_profile,
+                                 bool count_morsels) const;
 
-  Result<QueryResult> ExecuteParallelInner(const PhysicalPlan& plan,
-                                           const MorselPlan& morsels,
-                                           AccessStats* stats,
-                                           OperatorProfile* root_profile,
-                                           const ChunkExtras* extras) const;
+  ExecContext UnitContext(AccessStats* stats,
+                          const SharedGuardState& shared) const;
 
   // Context for the uncharged reads that place morsel edges (look-backs
   // for carry-ins and early stops): catalog, cost parameters and the

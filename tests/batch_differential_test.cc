@@ -545,6 +545,64 @@ TEST_F(BatchDifferentialTest, ParallelProfileMergeMatchesSerial) {
   }
 }
 
+/// The further budget-trip configurations: sink runs at 1 and 4 workers
+/// (sink runs stay serial), tuple driving, and checkpointed runs at 1 and
+/// 4 workers. Each run of `query` under `guards` must match the serial
+/// materialized result `serial`: the same ok-ness and status string, and
+/// the same rows when nothing trips.
+void ExpectTripParityEverywhere(Engine& engine, const Query& query,
+                                const QueryGuards& guards,
+                                const Result<QueryResult>& serial,
+                                const std::string& label) {
+  const std::string path = ::testing::TempDir() + "batch_diff_trip.ckpt";
+  struct Config {
+    std::string name;
+    RunOptions opts;
+  };
+  std::vector<Config> configs;
+  for (int workers : {1, 4}) {
+    RunOptions sink;
+    sink.exec.use_batch = true;
+    sink.exec.parallelism = workers;
+    sink.exec.morsel_size = 256;
+    configs.push_back({"sink x" + std::to_string(workers), sink});
+  }
+  RunOptions tuple;
+  tuple.exec.use_batch = false;
+  tuple.exec.parallelism = 1;
+  configs.push_back({"tuple", tuple});
+  for (int workers : {1, 4}) {
+    RunOptions ck;
+    ck.exec.use_batch = true;
+    ck.exec.parallelism = workers;
+    ck.exec.morsel_size = 256;
+    ck.exec.checkpoint.enabled = true;
+    ck.exec.checkpoint.chunk = 512;
+    ck.exec.checkpoint.path = path;
+    configs.push_back({"checkpointed x" + std::to_string(workers), ck});
+  }
+  for (Config& config : configs) {
+    const std::string clabel = label + " [" + config.name + "]";
+    config.opts.exec.guards = guards;
+    QueryResult visited;
+    const bool is_sink = config.name.rfind("sink", 0) == 0;
+    if (is_sink) {
+      config.opts.sink = [&visited](Position p, const Record& rec) {
+        visited.records.push_back(PosRecord{p, rec});
+      };
+    }
+    auto run = engine.Run(query, config.opts);
+    ASSERT_EQ(serial.ok(), run.ok())
+        << clabel << ": " << run.status().ToString();
+    if (!serial.ok()) {
+      EXPECT_EQ(serial.status().ToString(), run.status().ToString()) << clabel;
+    } else {
+      ExpectSameRows(*serial, is_sink ? visited : *run, clabel);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // Budget trips must fire at the same point — same ok-ness, same status
 // message — whether the query runs serial or morsel-parallel. The sweep
 // walks max_rows across the interesting boundary values around the true
@@ -583,6 +641,8 @@ TEST_F(BatchDifferentialTest, RowBudgetTripParity) {
         ExpectSameRows(*sres, *pres, label);
       }
     }
+    ExpectTripParityEverywhere(engine_, query, serial.exec.guards, sres,
+                               "max_rows=" + std::to_string(budget));
   }
 }
 
@@ -619,6 +679,8 @@ TEST_F(BatchDifferentialTest, RowBudgetTripParityProbedRoot) {
         ExpectSameRows(*sres, *pres, label);
       }
     }
+    ExpectTripParityEverywhere(engine_, query, serial.exec.guards, sres,
+                               "probed max_rows=" + std::to_string(budget));
   }
 }
 
@@ -723,6 +785,45 @@ TEST_F(BatchDifferentialTest, PageBudgetTripParity) {
       ASSERT_EQ(sres.ok(), pres.ok()) << label;
       if (!sres.ok()) {
         EXPECT_EQ(sres.status().ToString(), pres.status().ToString()) << label;
+      }
+    }
+    ExpectTripParityEverywhere(engine_, query, serial.exec.guards, sres,
+                               "max_pages=" + std::to_string(budget));
+  }
+
+  // A page budget counts the run's own pages, not what earlier runs left
+  // in a reused stats block: two runs sharing one AccessStats under a
+  // budget of 1.5x one run's pages must both succeed, materialized or
+  // through a sink, serial or at 4 workers.
+  auto prepared = engine_.Prepare(query);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  for (bool sink : {false, true}) {
+    for (int workers : {1, 4}) {
+      RunOptions opts;
+      opts.exec.use_batch = true;
+      opts.exec.parallelism = workers;
+      opts.exec.morsel_size = 256;
+      opts.exec.guards.max_pages = pages * 3 / 2;
+      AccessStats shared_stats;
+      opts.stats = &shared_stats;
+      int64_t rows = 0;
+      if (sink) opts.sink = [&rows](Position, const Record&) { ++rows; };
+      for (int run = 1; run <= 2; ++run) {
+        const std::string label = std::string(sink ? "sink" : "materialized") +
+                                  " x" + std::to_string(workers) + " run " +
+                                  std::to_string(run);
+        auto prepared_run = prepared->Run(opts);
+        ASSERT_TRUE(prepared_run.ok())
+            << label << ": " << prepared_run.status().ToString();
+        auto engine_run = engine_.Run(query, opts);
+        ASSERT_TRUE(engine_run.ok())
+            << label << " [engine]: " << engine_run.status().ToString();
+      }
+      EXPECT_EQ(shared_stats.stream_pages + shared_stats.probe_pages,
+                4 * pages)
+          << (sink ? "sink" : "materialized") << " x" << workers;
+      if (sink) {
+        EXPECT_EQ(rows, 4 * static_cast<int64_t>(stats.records_output));
       }
     }
   }
